@@ -1,9 +1,13 @@
 """rscodec: exact Reed-Solomon coding over GF(q).
 
 Encoders/decoders for RS(q, alpha, k) with n = q - 1 evaluation points,
-an interpolation-degree decoder and a Peterson-Gorenstein-Zierler decoder
-sharing one verified outcome format, a brute-force oracle for small
-codes, an instrumented benchmark, and a block-stream CLI.
+a brute-force oracle for small codes, an instrumented benchmark, and a
+block-stream CLI.  Every decoder is one pipeline: a count stage (the
+paper's rank scan or the PGZ determinant scan) finds the error count,
+the locator comes from the syndromes, and a tail stage (recover the
+codeword polynomial, or read the error positions off the locator's
+roots) produces a codeword that is verified before it is returned.
+`DECODERS` names the pairs.
 """
 
 from .bench import DECODERS, TrialConfig, TrialReport, TrialRow, report_to_json, run_sweep
@@ -16,7 +20,7 @@ from .decode_interp import (
     recover_codeword_polynomial,
     solve_locator,
 )
-from .decode_pgz import PgzTrace, pgz_decode
+from .decode_pgz import pgz_decode
 from .exceptions import (
     DecodeFailure,
     DegreeTooHigh,
@@ -46,7 +50,6 @@ __all__ = [
     "InexactDivision",
     "MulOpCounter",
     "OracleResult",
-    "PgzTrace",
     "Poly",
     "RSCode",
     "RootCountMismatch",

@@ -30,9 +30,11 @@ from .decode_pgz import pgz_decode
 from .exceptions import DecodeFailure
 from .rscode import RSCode
 
+# The one decoder registry, shared with the CLI's `decode` and `compare`.
 DECODERS = {
     "interp": decode,
     "interp_positions": decode_via_positions,
+    "interp-pos": decode_via_positions,
     "pgz": pgz_decode,
 }
 
@@ -140,9 +142,8 @@ def run_sweep(cfg: TrialConfig) -> TrialReport:
                         failures += 1
                 wall_sum += time.perf_counter_ns() - t_start
                 mul_sum += gf.mul_ops_total() - mul_start
-                if trace is not None:
-                    rank_sum += trace.rank_checks
-                    det_sum += trace.det_checks
+                rank_sum += trace.rank_checks
+                det_sum += trace.det_checks
             n_tr = len(pairs)
             rows.append(TrialRow(
                 decoder=name, t=t, trials=n_tr,

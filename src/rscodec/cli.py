@@ -37,8 +37,7 @@ from typing import Sequence
 
 from . import gf
 from .bench import DECODERS, TrialConfig, random_error, report_to_json, run_sweep
-from .decode_interp import decode, decode_via_positions
-from .decode_pgz import pgz_decode
+from .decode_interp import decode  # noqa: F401  kept importable as cli.decode
 from .exceptions import DecodeFailure
 from .gf import Field
 from .rscode import RSCode
@@ -52,11 +51,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_UNCORRECTED = 4
 
-CLI_DECODERS = {
-    "interp": decode,
-    "interp-pos": decode_via_positions,
-    "pgz": pgz_decode,
-}
+CLI_DECODERS = DECODERS  # the same registry: decode and compare take the same names
 
 
 @dataclass(frozen=True)
@@ -90,12 +85,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _build_code(q: int, k: int, alpha: int | None) -> RSCode:
+def _build_code(q: int, k: int, alpha: int | None, exit_code: int = EXIT_USAGE) -> RSCode:
     try:
         field = Field(q, alpha=alpha)
         return RSCode(field, k)
     except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+        raise CliError(exit_code, str(exc)) from exc
 
 
 def _check_format(fmt: str, q: int) -> None:
@@ -150,7 +145,7 @@ def _render_blocks(blocks: Sequence[Sequence[int]], fmt: str) -> bytes:
 def _read_stream(path: str, fmt: str) -> tuple[StreamHeader, RSCode, list[list[int]]]:
     raw = _read_bytes(path)
     header = StreamHeader.unpack(raw)
-    code = _build_code(header.q, header.k, header.alpha)
+    code = _build_code(header.q, header.k, header.alpha, EXIT_DATA)
     _check_format(fmt, header.q)
     symbols = _parse_symbols(raw[StreamHeader.SIZE:], fmt, header.q, "stream body")
     n = code.n
@@ -198,7 +193,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     header, code, blocks = _read_stream(args.input, args.format)
-    decoder = CLI_DECODERS[args.decoder]
+    decoder = DECODERS[args.decoder]
     stats_lines = []
     symbols: list[int] = []
     any_failed = False
@@ -212,21 +207,18 @@ def cmd_decode(args: argparse.Namespace) -> int:
             status = exc.reason
             t: int | None = None
             # Best effort: keep the low-degree interpolation coefficients.
-            message_poly = code.interpolate(block)
+            symbols.extend(code.low_coefficients(block))
         else:
             trace = outcome.trace
             status = "ok"
             t = outcome.error_count
-            message_poly = code.interpolate(outcome.codeword)
-        coeffs = list(message_poly.coeffs[:code.k])
-        coeffs += [0] * (code.k - len(coeffs))
-        symbols.extend(coeffs)
+            symbols.extend(outcome.message)
         stats_lines.append(json.dumps({
             "block": i,
             "status": status,
             "t": t,
-            "rank_checks": getattr(trace, "rank_checks", 0) if trace else 0,
-            "det_checks": getattr(trace, "det_checks", 0) if trace else 0,
+            "rank_checks": trace.rank_checks,
+            "det_checks": trace.det_checks,
             "mul_count": gf.mul_ops_total() - mul_start,
         }))
     if args.stats:
@@ -289,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_corrupt)
 
     p = sub.add_parser("decode", help="decode a coded stream back to its payload")
-    p.add_argument("--decoder", choices=sorted(CLI_DECODERS), default="interp",
+    p.add_argument("--decoder", choices=sorted(DECODERS), default="interp",
                    help="decoding algorithm (default: interp)")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 if any block is uncorrectable")

@@ -1,33 +1,41 @@
-"""Interpolation-degree decoding of Reed-Solomon words.
+"""The decoder pipeline: a count stage, the locator, and a tail stage.
 
 Write the received word as u = c + e with c a codeword and e of Hamming
-weight t.  The decoder works with the interpolation polynomial f_u of the
-received word (degree < n) and the monic error locator lambda of degree t
-whose roots are exactly alpha^i for the error positions i.  The pipeline:
+weight t.  Every decoder runs one flow on the n - k syndromes
+s_r = u(alpha^(r+1)):
 
-1. detect t: the smallest t <= tau for which the (n-k-t) x t Hankel
-   matrix of syndromes [s_(i+j)] has the same rank as its (n-k-t) x (t+1)
-   augmentation (t = 0 matches iff all syndromes are zero);
-2. solve the t x t Hankel system for lambda's lower coefficients;
-3. fold: the product lambda * f_u has the shape lambda * f_c + (x^n - 1) * mu
-   with deg f_c < k, so mu can be read directly off the coefficients of
-   x^n and above, and f_c = f_u - (x^n - 1) * mu / lambda with the
-   division exact;
-4. the decoded codeword is f_c evaluated at alpha^0, ..., alpha^(n-1).
+1. count stage: find t <= tau or raise TooManyErrors; t = 0 returns at once;
+2. solve the t x t Hankel system [s_(i+j)] for the monic error locator
+   lambda, whose roots are alpha^i for the error positions i;
+3. tail stage: turn the word and the locator into a codeword;
+4. verify codeword membership and distance exactly t.
 
-An alternative second half (`decode_via_positions`) reads the error
-positions off the locator's roots and solves for the error values
-instead; it never interpolates the whole word.
+Count stages: the paper's rank scan (`detect_error_count`, the smallest t
+whose (n-k-t) x t Hankel matrix has the rank of its (n-k-t) x (t+1)
+augmentation; t + 1 rank checks) and the Peterson-Gorenstein-Zierler
+determinant scan (the largest h <= tau with a nonzero h x h Hankel
+determinant; 0 checks for a codeword, tau - t + 1 on success, tau on
+failure).
 
-Both entry points re-verify their answer (codeword membership and
-distance exactly t) before returning, so a wrong answer is never returned
-silently: inputs beyond the correction radius either raise DecodeFailure
-or decode to some codeword genuinely within distance tau.
+Tails: the paper's recover (`_recover`) extends the syndromes by the
+other k evaluations to the interpolation polynomial f_u (degree < n).
+lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg f_c < k, so mu is
+read off the coefficients of x^n and above, f_c = f_u - (x^n - 1) * mu /
+lambda with the division exact, and the codeword is f_c evaluated at
+alpha^0, ..., alpha^(n-1).  Positions (`_error_positions_and_values`)
+reads the error positions off the locator's roots and solves a t x t
+system for the error values; it never interpolates the whole word.
+
+The decoders are the pairs `decode` (rank scan, recover),
+`decode_via_positions` (rank scan, positions) and `pgz_decode`
+(determinant scan, positions).  As every answer is re-verified, inputs
+beyond the correction radius either raise DecodeFailure or decode to
+some codeword genuinely within distance tau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,12 +58,13 @@ from .rscode import RSCode
 class DecodeTrace:
     """Work counters and intermediate values of one decode call.
 
-    rank_checks counts rank-equality tests in step 1 (one per candidate
-    error count, so t + 1 on success).  det_checks stays 0 here; the PGZ
-    decoder uses its own trace with the roles swapped.
+    rank_checks counts the rank scan's rank-equality tests, det_checks the
+    determinant scan's determinants; the count stage that did not run
+    leaves its counter at 0.  The interp_* and high_* values are set by
+    the recover tail only.
     """
 
-    rank_checks: int
+    rank_checks: int = 0
     det_checks: int = 0
     interp_degree: int | float | None = None
     high_quotient: Poly | None = None
@@ -64,19 +73,60 @@ class DecodeTrace:
 
 @dataclass
 class DecodeOutcome:
-    """A successful decode: the nearest codeword and how it was found."""
+    """A successful decode: the nearest codeword and how it was found.
+
+    `message` is the k message symbols of `codeword`, the coefficients of
+    its polynomial of degree < k.  The recover tail holds that polynomial
+    already; otherwise the message is computed on first access, from k
+    evaluations of the codeword (`RSCode.low_coefficients`).
+    """
 
     codeword: tuple[int, ...]
     error: tuple[int, ...]
     error_count: int
     locator: Poly
-    trace: object
+    trace: DecodeTrace
+    _code: RSCode | None = field(default=None, repr=False, compare=False)
+    _message: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def message(self) -> tuple[int, ...]:
+        if self._message is None:
+            self._message = self._code.low_coefficients(self.codeword)
+        return self._message
+
+
+def decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
+    """The paper's decoder: rank scan, then recover the codeword polynomial."""
+    return _run(code, word, _rank_scan, _recover)
+
+
+def decode_via_positions(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
+    """Rank scan, then read the error positions off the locator's roots."""
+    return _run(code, word, _rank_scan, _error_positions_and_values)
+
+
+def _run(code: RSCode, word: Sequence[int], count_stage, tail) -> DecodeOutcome:
+    word = code.check_word(word)
+    synd = code.syndromes(word)
+    t, trace = count_stage(code, synd)
+    if t == 0:
+        return DecodeOutcome(word, (0,) * code.n, 0, Poly.one(code.field), trace, code)
+    try:
+        locator = solve_locator(code, synd, t)
+        cw, message = tail(code, word, synd, locator, trace)
+        return _verified_outcome(code, word, cw, t, locator, trace, message)
+    except DecodeFailure as exc:
+        exc.trace = trace
+        raise
 
 
 def _hankel(syndromes: np.ndarray, rows: int, cols: int) -> np.ndarray:
     idx = np.arange(rows, dtype=np.intp)[:, None] + np.arange(cols, dtype=np.intp)[None, :]
     return syndromes[idx]
 
+
+# ----- count stages: (code, syndromes) -> (t, trace), or TooManyErrors ----------
 
 def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
     """Smallest t in [0, tau] consistent with the syndromes, else None.
@@ -92,6 +142,28 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
         if lhs.rank() == aug.rank():
             return t
     return None
+
+
+def _rank_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, DecodeTrace]:
+    t = detect_error_count(code, synd)
+    if t is None:
+        raise TooManyErrors(
+            f"no error count <= tau = {code.tau} fits the syndromes",
+            trace=DecodeTrace(rank_checks=code.tau + 1))
+    return t, DecodeTrace(rank_checks=t + 1)
+
+
+def _determinant_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, DecodeTrace]:
+    s = _check_syndromes(code, synd)
+    if not s.any():
+        return 0, DecodeTrace()
+    for checks, h in enumerate(range(code.tau, 0, -1), start=1):
+        if FeMat._wrap(code.field, _hankel(s, h, h)).det() != 0:
+            return h, DecodeTrace(det_checks=checks)
+    raise TooManyErrors(
+        f"all Hankel determinants up to tau = {code.tau} vanish for a "
+        "nonzero syndrome vector",
+        trace=DecodeTrace(det_checks=code.tau))
 
 
 def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
@@ -117,20 +189,25 @@ def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
     return Poly(code.field, res.solution + (1,))
 
 
+# ----- tails: (code, word, syndromes, locator, trace) -> (codeword, message or None)
+
 def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
                                 locator: Poly, t: int) -> Poly:
     """Codeword polynomial (degree < k) from the word and its locator."""
-    interp = code.interpolate(word)
-    gc, _, _ = _recover(code, interp, locator)
-    return gc
+    word = code.check_word(word)
+    _, message = _recover(code, word, code.syndromes(word), locator, DecodeTrace())
+    return Poly(code.field, message)
 
 
-def _recover(code: RSCode, interp: Poly, locator: Poly) -> tuple[Poly, Poly, tuple[int, ...]]:
+def _recover(code: RSCode, word: tuple[int, ...], synd: Sequence[int],
+             locator: Poly, trace: DecodeTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg(lambda * f_c)
     # < k + t <= n, so the coefficients of x^n and above are exactly those
     # of x^n * mu, and subtracting mu's own coefficients is folded into
     # the (x^n - 1) * mu construction below.
     f = code.field
+    rest = f.eval_at_powers(word, first=code.n - code.k + 1, count=code.k)
+    interp = code.interpolate_from_evaluations(np.concatenate((f.asarray(synd), rest)))
     prod = locator * interp
     high = tuple(prod.coeffs[code.n:])
     mu = Poly(f, high)
@@ -144,75 +221,19 @@ def _recover(code: RSCode, interp: Poly, locator: Poly) -> tuple[Poly, Poly, tup
     if gc.degree >= code.k:
         raise DegreeTooHigh(
             f"recovered polynomial has degree {gc.degree}, expected < k = {code.k}")
-    return gc, mu, high
-
-
-def decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
-    """Decode by recovering the codeword polynomial (steps 1-4 above)."""
-    word = code.check_word(word)
-    evals = code.word_evaluations(word)
-    synd = tuple(int(x) for x in evals[:code.n - code.k])
-    t = detect_error_count(code, synd)
-    if t is None:
-        raise TooManyErrors(
-            f"no error count <= tau = {code.tau} fits the syndromes",
-            trace=DecodeTrace(rank_checks=code.tau + 1))
-    trace = DecodeTrace(rank_checks=t + 1)
-    if t == 0:
-        return DecodeOutcome(word, (0,) * code.n, 0, Poly.one(code.field), trace)
-    try:
-        locator = solve_locator(code, synd, t)
-        interp = code.interpolate_from_evaluations(evals)
-        gc, mu, high = _recover(code, interp, locator)
-    except DecodeFailure as exc:
-        exc.trace = trace
-        raise
     trace.interp_degree = interp.degree
     trace.high_quotient = mu
     trace.high_coeffs = high
-    cw = tuple(int(x) for x in code.field.eval_at_powers(gc.coeffs, first=0, count=code.n))
-    return _verified_outcome(code, word, cw, t, locator, trace)
+    cw = tuple(int(x) for x in f.eval_at_powers(gc.coeffs, first=0, count=code.n))
+    return cw, gc.coeffs + (0,) * (code.k - len(gc.coeffs))
 
 
-def decode_via_positions(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
-    """Decode by reading error positions off the locator's roots.
-
-    Same steps 1-2 as `decode`; afterwards the roots alpha^i of the
-    locator give the error positions i directly and a t x t Vandermonde-
-    style system gives the error values, skipping full interpolation.
-    """
-    word = code.check_word(word)
-    synd = code.syndromes(word)
-    t = detect_error_count(code, synd)
-    if t is None:
-        raise TooManyErrors(
-            f"no error count <= tau = {code.tau} fits the syndromes",
-            trace=DecodeTrace(rank_checks=code.tau + 1))
-    trace = DecodeTrace(rank_checks=t + 1)
-    if t == 0:
-        return DecodeOutcome(word, (0,) * code.n, 0, Poly.one(code.field), trace)
-    try:
-        locator = solve_locator(code, synd, t)
-        positions, values = _error_positions_and_values(code, synd, locator, t)
-    except DecodeFailure as exc:
-        exc.trace = trace
-        raise
+def _error_positions_and_values(code: RSCode, word: tuple[int, ...], synd: Sequence[int],
+                                locator: Poly, trace: DecodeTrace) -> tuple[tuple[int, ...], None]:
+    """Error positions (locator roots' discrete logs) and values,
+    subtracted from the word."""
     f = code.field
-    err = [0] * code.n
-    for pos, val in zip(positions, values):
-        err[pos] = val
-    cw = tuple(f.sub(u, e) for u, e in zip(word, err))
-    return _verified_outcome(code, word, cw, t, locator, trace)
-
-
-def _error_positions_and_values(code: RSCode, synd: Sequence[int],
-                                locator: Poly, t: int) -> tuple[list[int], list[int]]:
-    """Error positions (locator roots' discrete logs) and values.
-
-    Shared with the PGZ decoder, whose steps after locator solving are
-    identical.
-    """
-    f = code.field
+    t = locator.degree
     roots = locator.roots_nonzero()
     if len(roots) != t:
         raise RootCountMismatch(
@@ -225,21 +246,24 @@ def _error_positions_and_values(code: RSCode, synd: Sequence[int],
     if not res.is_unique():
         raise SingularLocatorSystem(
             f"error value system for t={t} is {res.status.value}")
-    return positions, list(res.solution)
+    cw = list(word)
+    for pos, val in zip(positions, res.solution):
+        cw[pos] = f.sub(cw[pos], val)
+    return tuple(cw), None
 
 
 def _verified_outcome(code: RSCode, word: tuple[int, ...], cw: tuple[int, ...],
-                      t: int, locator: Poly, trace) -> DecodeOutcome:
+                      t: int, locator: Poly, trace: DecodeTrace,
+                      message: tuple[int, ...] | None) -> DecodeOutcome:
     f = code.field
     if any(code.syndromes(cw)):
-        raise VerifyFailed("decoded word is not a codeword", trace=trace)
+        raise VerifyFailed("decoded word is not a codeword")
     err = tuple(f.sub(u, c) for u, c in zip(word, cw))
     weight = sum(1 for e in err if e)
     if weight != t:
         raise VerifyFailed(
-            f"decoded codeword is at distance {weight}, expected exactly {t}",
-            trace=trace)
-    return DecodeOutcome(cw, err, t, locator, trace)
+            f"decoded codeword is at distance {weight}, expected exactly {t}")
+    return DecodeOutcome(cw, err, t, locator, trace, code, message)
 
 
 def _check_syndromes(code: RSCode, syndromes: Sequence[int]) -> np.ndarray:

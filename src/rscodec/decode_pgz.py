@@ -1,12 +1,11 @@
 """Peterson-Gorenstein-Zierler decoding, for comparison.
 
-PGZ finds the error count by scanning determinants instead of rank pairs:
-after a fast path for the all-zero syndrome vector (t = 0), it evaluates
-det of the h x h Hankel syndrome matrix for h = tau, tau - 1, ..., 1 and
-takes the first h whose determinant is nonzero.  Locator solving, error
-positions (locator roots), and error values then proceed exactly as in
-the position-reading interpolation decoder, and the result is re-verified
-the same way.
+PGZ is the pipeline of `decode_interp` with the determinant scan as its
+count stage: after a fast path for the all-zero syndrome vector (t = 0),
+it evaluates det of the h x h Hankel syndrome matrix for
+h = tau, tau - 1, ..., 1 and takes the first h whose determinant is
+nonzero.  The locator, the positions tail and the verification are the
+ones `decode_via_positions` uses.
 
 The determinant count per call is therefore 0 when the word is already a
 codeword, tau - t + 1 for a successful decode of weight t >= 1, and tau
@@ -15,62 +14,18 @@ when no weight fits (TooManyErrors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .decode_interp import (
+from .decode_interp import (  # noqa: F401  solve_locator: the stage is re-exported here
     DecodeOutcome,
-    _check_syndromes,
+    _determinant_scan,
     _error_positions_and_values,
-    _hankel,
-    _verified_outcome,
+    _run,
     solve_locator,
 )
-from .exceptions import DecodeFailure, TooManyErrors
-from .femat import FeMat
-from .poly import Poly
 from .rscode import RSCode
-
-
-@dataclass
-class PgzTrace:
-    """Work counters of one PGZ decode: det_checks counts Hankel
-    determinant evaluations (at most tau); rank_checks stays 0."""
-
-    det_checks: int
-    rank_checks: int = 0
 
 
 def pgz_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     """Decode via the descending determinant scan described above."""
-    word = code.check_word(word)
-    synd = code.syndromes(word)
-    s = _check_syndromes(code, synd)
-    if not s.any():
-        return DecodeOutcome(word, (0,) * code.n, 0, Poly.one(code.field),
-                             PgzTrace(det_checks=0))
-    det_checks = 0
-    t = None
-    for h in range(code.tau, 0, -1):
-        det_checks += 1
-        if FeMat._wrap(code.field, _hankel(s, h, h)).det() != 0:
-            t = h
-            break
-    if t is None:
-        raise TooManyErrors(
-            f"all Hankel determinants up to tau = {code.tau} vanish for a "
-            "nonzero syndrome vector",
-            trace=PgzTrace(det_checks=det_checks))
-    trace = PgzTrace(det_checks=det_checks)
-    try:
-        locator = solve_locator(code, synd, t)
-        positions, values = _error_positions_and_values(code, synd, locator, t)
-    except DecodeFailure as exc:
-        exc.trace = trace
-        raise
-    f = code.field
-    err = [0] * code.n
-    for pos, val in zip(positions, values):
-        err[pos] = val
-    cw = tuple(f.sub(u, e) for u, e in zip(word, err))
-    return _verified_outcome(code, word, cw, t, locator, trace)
+    return _run(code, word, _determinant_scan, _error_positions_and_values)

@@ -8,11 +8,13 @@ real decoders; refuses codes too large to enumerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import TooLargeToEnumerate
+from .gf import Field
 from .rscode import RSCode
 
 # Enumeration guards: at most this many codewords, and at most this many
@@ -20,7 +22,9 @@ from .rscode import RSCode
 ENUM_MAX_CODEWORDS = 10 ** 6
 ENUM_MAX_SYMBOLS = 50 * 10 ** 6
 
-_codebook_cache: dict[tuple, np.ndarray] = {}
+# Codebooks kept, least recently used first out: one can hold up to
+# ENUM_MAX_SYMBOLS symbols.
+CODEBOOK_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -41,13 +45,14 @@ def hamming(a: Sequence[int], b: Sequence[int]) -> int:
 
 def codebook(code: RSCode) -> np.ndarray:
     """All q^k codewords as an array, row index = message in lexicographic
-    order (message symbol 0 most significant).  Cached per code."""
-    key = (code.field._key(), code.k)
-    book = _codebook_cache.get(key)
-    if book is not None:
-        return book
-    f = code.field
-    q, n, k = f.q, code.n, code.k
+    order (message symbol 0 most significant).  Cached per (field, k)."""
+    return _codebook(code.field, code.k)
+
+
+@lru_cache(maxsize=CODEBOOK_CACHE_SIZE)
+def _codebook(f: Field, k: int) -> np.ndarray:
+    code = RSCode(f, k)
+    q, n = f.q, code.n
     count = q ** k
     if count > ENUM_MAX_CODEWORDS:
         raise TooLargeToEnumerate(
@@ -63,7 +68,6 @@ def codebook(code: RSCode) -> np.ndarray:
                          np.tile(scaled, (book.shape[0], 1)))
     book = book.astype(np.int32)
     book.setflags(write=False)
-    _codebook_cache[key] = book
     return book
 
 

@@ -110,6 +110,14 @@ class RSCode:
         coeffs = self.field.neg_arr(evals[::-1])
         return Poly(self.field, coeffs.tolist())
 
+    def low_coefficients(self, word: Sequence[int]) -> tuple[int, ...]:
+        """f_0, ..., f_(k-1) of the word's interpolation polynomial, from
+        the k evaluations f_i = -u(alpha^(n-i)); for a codeword, its
+        message."""
+        word = self.check_word(word)
+        vals = self.field.eval_at_powers(word, first=self.n - self.k + 1, count=self.k)
+        return tuple(self.field.neg_arr(vals[::-1]).tolist())
+
     def lagrange_basis(self, i: int) -> Poly:
         """The basis polynomial f_i with f_i(alpha^j) = 1 if j == i else 0.
 

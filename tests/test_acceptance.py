@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager
 
 from rscodec import (
+    DECODERS,
     DecodeFailure,
     Field,
     Poly,
@@ -115,7 +116,7 @@ def test_c2_oracle_equivalence():
                     cw = code.encode(msg)
                     t = rng.randrange(code.tau + 1)
                     u = corrupt(rng, code, cw, t)
-                    for fn in (decode, decode_via_positions, pgz_decode):
+                    for fn in dict.fromkeys(DECODERS.values()):
                         assert fn(code, u).codeword == cw
                     near = brute_nearest(code, u)
                     assert near.codeword == cw

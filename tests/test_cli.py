@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from rscodec import DECODERS, Field, Poly, RSCode
 from rscodec.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -14,6 +15,8 @@ from rscodec.cli import (
     StreamHeader,
     main,
 )
+
+from .util import lagrange_product
 
 HEADER_HEX_6 = "52534943010700000002000000050000000600000000000000"
 
@@ -89,10 +92,26 @@ def test_roundtrip_with_corruption(tmp_path, fmt):
     assert run("corrupt", "--errors", 2, "--seed", 3, *common, stream, bad) == EXIT_OK
     assert bad.read_bytes() != stream.read_bytes()
     assert bad.read_bytes()[:25] == stream.read_bytes()[:25]
-    for decoder in ("interp", "interp-pos", "pgz"):
-        assert run("decode", "--decoder", decoder, *common, bad, out) == EXIT_OK
-        assert out.read_bytes() == payload.read_bytes() if fmt == "bin" \
-            else out.read_text().split() == payload.read_text().split()
+    # every registered name, on the clean stream (t = 0) and at t = tau = 2
+    for decoder in sorted(DECODERS):
+        for src in (stream, bad):
+            assert run("decode", "--decoder", decoder, *common, src, out) == EXIT_OK
+            assert out.read_bytes() == payload.read_bytes() if fmt == "bin" \
+                else out.read_text().split() == payload.read_text().split()
+
+
+def test_outcome_message_is_the_encoded_message():
+    code = RSCode(Field(7, alpha=5), 2)
+    for msg in ((5, 6), (0, 0), (3, 4)):
+        cw = code.encode(msg)
+        noisy = list(cw)
+        noisy[1] = (noisy[1] + 2) % 7
+        noisy[4] = (noisy[4] + 5) % 7
+        for name, fn in DECODERS.items():
+            for word in (cw, noisy):  # t = 0 and t = tau = 2
+                out = fn(code, word)
+                assert out.codeword == cw, name
+                assert out.message == msg, name
 
 
 def test_corrupt_deterministic_and_zero_identity(tmp_path):
@@ -137,12 +156,19 @@ def test_decode_strict_uncorrectable(tmp_path):
     stream.write_bytes(header.pack() + b"0 0 1 0 3 4\n")
     assert run("decode", "--strict", stream, out) == EXIT_UNCORRECTED
 
-    # without --strict the block passes through as a best-effort estimate
-    assert run("decode", "--stats", stats, stream, out) == EXIT_OK
-    assert len(out.read_text().split()) == 2
-    rec = json.loads(stats.read_text())
-    assert rec["status"] != "ok"
-    assert rec["t"] is None
+    # without --strict the block passes through as a best-effort estimate:
+    # the two low coefficients of its interpolation polynomial, by every decoder
+    code = RSCode(Field(7, alpha=5), 2)
+    interp = sum((lagrange_product(code, j).scale(u)
+                  for j, u in enumerate((0, 0, 1, 0, 3, 4))),
+                 start=Poly.zero(code.field))
+    expected = " ".join(str(c) for c in (interp.coeffs + (0, 0))[:2]) + "\n"
+    for decoder in sorted(DECODERS):
+        assert run("decode", "--decoder", decoder, "--stats", stats, stream, out) == EXIT_OK
+        assert out.read_text() == expected
+        rec = json.loads(stats.read_text())
+        assert rec["status"] != "ok"
+        assert rec["t"] is None
 
 
 def test_compare_deterministic(tmp_path, capsys):
@@ -220,6 +246,10 @@ def test_data_errors(tmp_path, capsys):
     assert run("decode", stream, out) == EXIT_DATA
     # missing input file
     assert run("decode", tmp_path / "absent", out) == EXIT_DATA
+    # header code parameters that name no code: malformed data, not usage
+    for q, k, alpha in ((6, 2, 0), (7, 9, 3), (7, 2, 2), (2**20, 4, 0)):
+        stream.write_bytes(StreamHeader(q, k, alpha, 0).pack())
+        assert run("decode", stream, out) == EXIT_DATA
     capsys.readouterr()
 
 

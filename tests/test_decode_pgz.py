@@ -4,9 +4,18 @@ import random
 
 import pytest
 
-from rscodec import DecodeFailure, Poly, TooManyErrors, decode, pgz_decode
+from rscodec import (
+    DECODERS,
+    DecodeFailure,
+    DecodeTrace,
+    Poly,
+    TooManyErrors,
+    decode,
+    decode_via_positions,
+    pgz_decode,
+)
 
-from .util import corrupt, get_code, random_word
+from .util import corrupt, get_code, get_field, random_word
 
 U = (4, 2, 1, 6, 3, 2)
 W = (0, 2, 5, 6, 0, 6)
@@ -70,30 +79,37 @@ def test_pgz_det_check_law():
 
 
 def test_pgz_matches_interp_on_random_words():
-    # the two decoders accept exactly the same words and agree on output
+    # every registered decoder accepts exactly the same words and agrees
+    # on the outcome; every rejection is typed and carries a trace
+    decoders = list(dict.fromkeys(DECODERS.values()))
+    assert {decode, decode_via_positions, pgz_decode} <= set(decoders)
     rng = random.Random(32)
     total_fail = 0
-    for q, k in ((7, 2), (11, 3), (13, 5), (16, 3), (17, 8)):
-        code = get_code(q, k)
+    codes = [get_code(q, k) for q, k in ((7, 2), (11, 3), (13, 5), (16, 3), (17, 8))]
+    codes.append(get_code(16, 4, reduction=0x19, alpha=6))
+    assert codes[-1].field.alpha != get_field(16, reduction=0x19).alpha
+    for code in codes:
         for _ in range(250):
             u = random_word(rng, code)
-            try:
-                a = decode(code, u)
-            except DecodeFailure:
-                a = None
-            try:
-                b = pgz_decode(code, u)
-            except DecodeFailure:
-                b = None
-            if a is None:
+            outs = []
+            for fn in decoders:
+                try:
+                    outs.append(fn(code, u))
+                except DecodeFailure as exc:
+                    assert isinstance(exc.trace, DecodeTrace), (fn, u)
+                    outs.append(None)
+            if outs[0] is None:
                 total_fail += 1
-                assert b is None, u
-            else:
+                assert all(out is None for out in outs), u
+                continue
+            a = outs[0]
+            for b in outs[1:]:
                 assert b is not None, u
                 assert a.codeword == b.codeword
                 assert a.error == b.error
                 assert a.error_count == b.error_count
                 assert a.locator == b.locator
+                assert a.message == b.message
     assert total_fail > 0  # the sample really exercised the failure side
 
 

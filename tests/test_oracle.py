@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rscodec import TooLargeToEnumerate, decode, hamming
+from rscodec import TooLargeToEnumerate, decode, hamming, oracle
 from rscodec.oracle import brute_min_distance, brute_nearest, codebook
 
 from .util import corrupt, get_code
@@ -33,6 +33,16 @@ def test_codebook_shape_and_order(rs72):
     assert codebook(rs72) is book
     with pytest.raises(ValueError):
         book[0][0] = 1
+
+
+def test_codebook_cache_is_bounded():
+    codes = [get_code(q, k) for q in (5, 7, 11) for k in (1, 2)]
+    assert len(codes) > oracle.CODEBOOK_CACHE_SIZE
+    for code in codes:
+        codebook(code)
+        assert oracle._codebook.cache_info().currsize <= oracle.CODEBOOK_CACHE_SIZE
+    # the most recent codebook is still served from the cache
+    assert codebook(codes[-1]) is codebook(codes[-1])
 
 
 def test_codebook_rows_are_exactly_the_code(rs72):

@@ -12,10 +12,11 @@ s_r = u(alpha^(r+1)):
 
 Count stages: the paper's rank scan (`detect_error_count`, the smallest t
 whose (n-k-t) x t Hankel matrix has the rank of its (n-k-t) x (t+1)
-augmentation; t + 1 rank checks) and the Peterson-Gorenstein-Zierler
-determinant scan (the largest h <= tau with a nonzero h x h Hankel
-determinant; 0 checks for a codeword, tau - t + 1 on success, tau on
-failure).
+augmentation; t + 1 rank checks, each one elimination of the augmented
+matrix with pivots restricted to its first t columns) and the
+Peterson-Gorenstein-Zierler determinant scan (the largest h <= tau with
+a nonzero h x h Hankel determinant; 0 checks for a codeword, tau - t + 1
+on success, tau on failure).
 
 Tails: the paper's recover (`_recover`) extends the syndromes by the
 other k evaluations to the interpolation polynomial f_u (degree < n).
@@ -49,7 +50,7 @@ from .exceptions import (
     TooManyErrors,
     VerifyFailed,
 )
-from .femat import FeMat
+from .femat import FeMat, _eliminate
 from .poly import Poly
 from .rscode import RSCode
 
@@ -132,14 +133,16 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
     """Smallest t in [0, tau] consistent with the syndromes, else None.
 
     Candidate t is consistent when appending the next syndrome column to
-    the (n-k-t) x t Hankel matrix does not raise its rank.
+    the (n-k-t) x t Hankel matrix does not raise its rank.  One elimination
+    of the (n-k-t) x (t+1) augmented matrix, with pivots taken from the
+    first t columns only, decides it: the ranks are equal iff column t has
+    no nonzero left below the pivot rows.
     """
     s = _check_syndromes(code, syndromes)
     for t in range(code.tau + 1):
-        rows = code.n - code.k - t
-        lhs = FeMat._wrap(code.field, _hankel(s, rows, t))
-        aug = FeMat._wrap(code.field, _hankel(s, rows, t + 1))
-        if lhs.rank() == aug.rank():
+        aug = _hankel(s, code.n - code.k - t, t + 1)
+        pivots, _ = _eliminate(code.field, aug, pivot_cols=t)
+        if not aug[len(pivots):, t].any():
             return t
     return None
 
@@ -224,7 +227,7 @@ def _recover(code: RSCode, word: tuple[int, ...], synd: Sequence[int],
     trace.interp_degree = interp.degree
     trace.high_quotient = mu
     trace.high_coeffs = high
-    cw = tuple(int(x) for x in f.eval_at_powers(gc.coeffs, first=0, count=code.n))
+    cw = tuple(f.eval_at_powers(gc.coeffs, first=0, count=code.n).tolist())
     return cw, gc.coeffs + (0,) * (code.k - len(gc.coeffs))
 
 
@@ -255,15 +258,14 @@ def _error_positions_and_values(code: RSCode, word: tuple[int, ...], synd: Seque
 def _verified_outcome(code: RSCode, word: tuple[int, ...], cw: tuple[int, ...],
                       t: int, locator: Poly, trace: DecodeTrace,
                       message: tuple[int, ...] | None) -> DecodeOutcome:
-    f = code.field
     if any(code.syndromes(cw)):
         raise VerifyFailed("decoded word is not a codeword")
-    err = tuple(f.sub(u, c) for u, c in zip(word, cw))
-    weight = sum(1 for e in err if e)
+    err = code.field.sub_arr(np.array(word, dtype=np.int64), np.array(cw, dtype=np.int64))
+    weight = int(np.count_nonzero(err))
     if weight != t:
         raise VerifyFailed(
             f"decoded codeword is at distance {weight}, expected exactly {t}")
-    return DecodeOutcome(cw, err, t, locator, trace, code, message)
+    return DecodeOutcome(cw, tuple(err.tolist()), t, locator, trace, code, message)
 
 
 def _check_syndromes(code: RSCode, syndromes: Sequence[int]) -> np.ndarray:

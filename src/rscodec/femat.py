@@ -39,8 +39,7 @@ def _outer_mul(f: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if f.kind == "prime":
         out = u[:, None] * v[None, :] % f.p
     else:
-        n = f.q - 1
-        out = f._exp_np[(f._log_np[u][:, None] + f._log_np[v][None, :]) % n]
+        out = f._exp2_np[f._log_np[u][:, None] + f._log_np[v][None, :]]
         out[:, v == 0] = 0
     add_mul_ops(int(u.size) * int(v.size))
     return out
@@ -59,7 +58,7 @@ def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[tuple[int
     for c in range(pivot_cols):
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -71,7 +70,7 @@ def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[tuple[int
         if piv != 1:
             a[r, c:] = f.scale_arr(a[r, c:], f.inv(piv))
         fac = a[r + 1:, c]
-        nzr = np.flatnonzero(fac)
+        nzr = fac.nonzero()[0]
         if nzr.size:
             block = a[r + 1:, c:]
             upd = _outer_mul(f, fac[nzr].copy(), a[r, c:])
@@ -85,7 +84,7 @@ def _back_eliminate(f: Field, a: np.ndarray, pivots: list[tuple[int, int]]) -> N
     # Clear entries above each (already normalized) pivot.
     for r, c in reversed(pivots):
         fac = a[:r, c]
-        nzr = np.flatnonzero(fac)
+        nzr = fac.nonzero()[0]
         if nzr.size:
             block = a[:r, c:]
             upd = _outer_mul(f, fac[nzr].copy(), a[r, c:])

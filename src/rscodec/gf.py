@@ -13,10 +13,19 @@ primitive element exists for the evaluation-point sequence used by codes
 built on top of this module.
 
 Every field eagerly builds antilog/log tables for its multiplicative
-group (q <= 2^16, so the tables are always small).  Scalar operations are
-plain Python ints; bulk operations are exact numpy integer kernels used
-by the matrix and codec layers.  All arithmetic is exact, never floating
-point.
+group (q <= 2^16, so the tables are always small).  Beside the public
+antilog table `exp` (length q - 1) it keeps a private doubled copy,
+exp2[i] = alpha^i for 0 <= i < 2(q - 1), so a product or quotient is one
+lookup at a sum of two logs, log a + log b or log a - log b + (q - 1),
+with no reduction mod q - 1.  Scalar operations are plain Python ints;
+bulk operations are exact numpy integer kernels used by the matrix and
+codec layers.  All arithmetic is exact, never floating point.
+
+Element validation (`check` for one value, `asarray` for a sequence)
+accepts Python ints (bools included) and numpy integer scalars in
+[0, q).  `asarray` validates a whole sequence in one numpy pass and
+falls back to `check`, element by element, for anything else, so both
+accept the same values and name the first value they reject.
 
 The module keeps a global count of field multiplications (including
 inversions and divisions, and the element products performed inside bulk
@@ -145,7 +154,7 @@ class Field:
 
     __slots__ = (
         "kind", "q", "p", "m", "reduction", "alpha",
-        "exp", "log", "_exp_np", "_log_np", "_pmat",
+        "exp", "log", "_exp2", "_exp_np", "_exp2_np", "_log_np", "_pmat",
     )
 
     def __init__(self, q: int, *, reduction: int | None = None,
@@ -196,7 +205,9 @@ class Field:
             acc = self._mul_slow(acc, alpha)
         self.exp = exp
         self.log = log
+        self._exp2 = exp + exp
         self._exp_np = np.array(exp, dtype=np.int64)
+        self._exp2_np = np.array(self._exp2, dtype=np.int64)
         lg = np.array(log, dtype=np.int64)
         lg[0] = 0  # never a valid log; callers mask zeros before gathering
         self._log_np = lg
@@ -271,16 +282,14 @@ class Field:
             return a * b % self.p
         if a == 0 or b == 0:
             return 0
-        n = self.q - 1
-        return self.exp[(self.log[a] + self.log[b]) % n]
+        return self._exp2[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         global _mul_ops
         _mul_ops += 1
-        n = self.q - 1
-        return self.exp[-self.log[a] % n]
+        return self._exp2[self.q - 1 - self.log[a]]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
@@ -289,8 +298,7 @@ class Field:
         _mul_ops += 1
         if a == 0:
             return 0
-        n = self.q - 1
-        return self.exp[(self.log[a] - self.log[b]) % n]
+        return self._exp2[self.log[a] - self.log[b] + self.q - 1]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -323,12 +331,26 @@ class Field:
     # their element products to the global multiplication counter.
 
     def asarray(self, values: Iterable[int]) -> np.ndarray:
-        if not isinstance(values, (np.ndarray, list, tuple)):
-            values = list(values)
-        a = np.asarray(values, dtype=np.int64)
-        if a.size and (a.min() < 0 or a.max() >= self.q):
-            raise ValueError(f"array contains non-elements of GF({self.q})")
-        return a
+        """Validate `values` as elements and return them as an int64 array.
+
+        Accepts exactly what `check` accepts, element by element: a value
+        `check` rejects raises its ValueError.  Integer arrays, and lists or
+        tuples of Python or numpy integers, are range-checked in one numpy
+        pass; anything else goes through `check` one element at a time.
+        """
+        if isinstance(values, np.ndarray):
+            a = values if values.dtype.kind in "iu" else None
+        else:
+            if not isinstance(values, (list, tuple)):
+                values = list(values)
+            a = None
+            if all(issubclass(t, (int, np.integer)) for t in set(map(type, values))):
+                a = np.asarray(values)
+                if a.dtype.kind not in "iub":
+                    a = None  # ints no 64-bit dtype holds infer float or object
+        if a is not None and (a.size == 0 or (a.min() >= 0 and a.max() < self.q)):
+            return a.astype(np.int64, copy=False)
+        return np.array([self.check(x) for x in values], dtype=np.int64)
 
     def add_arr(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.kind == "prime":
@@ -354,8 +376,7 @@ class Field:
         out = np.zeros(x.shape, dtype=np.int64)
         nz = (x != 0) & (y != 0)
         if nz.any():
-            n = self.q - 1
-            out[nz] = self._exp_np[(self._log_np[x[nz]] + self._log_np[y[nz]]) % n]
+            out[nz] = self._exp2_np[self._log_np[x[nz]] + self._log_np[y[nz]]]
         add_mul_ops(out.size)
         return out
 
@@ -369,8 +390,7 @@ class Field:
         out = np.zeros_like(x)
         nz = x != 0
         if nz.any():
-            n = self.q - 1
-            out[nz] = self._exp_np[(self._log_np[x[nz]] + self.log[s]) % n]
+            out[nz] = self._exp2_np[self._log_np[x[nz]] + self.log[s]]
         add_mul_ops(out.size)
         return out
 
@@ -406,8 +426,7 @@ class Field:
         emat = self._power_matrix()
         if emat is not None:
             rows = (first + np.arange(count, dtype=np.int64)) % n
-            expo = (emat[np.ix_(rows, nz)] + self._log_np[c[nz]][None, :]) % n
-            terms = self._exp_np[expo]
+            terms = self._exp2_np[emat[np.ix_(rows, nz)] + self._log_np[c[nz]][None, :]]
             if self.kind == "prime":
                 out = np.add.reduce(terms, axis=1) % self.p
             else:

@@ -29,7 +29,7 @@ class Poly:
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
         self.field = field
-        self.coeffs = tuple(int(c) for c in coeffs[:end])
+        self.coeffs = tuple(map(int, coeffs[:end]))
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
@@ -94,13 +94,25 @@ class Poly:
         if not a or not b:
             return Poly.zero(f)
         if len(a) * len(b) <= _SCHOOLBOOK_LIMIT:
+            # Schoolbook in the log domain: x * y = alpha^(log x + log y),
+            # one lookup and one count per pair of nonzero coefficients.
+            exp2, log = f._exp2, f.log
+            b_logs = [(j, log[y]) for j, y in enumerate(b) if y]
+            prime, p = f.kind == "prime", f.p
             out = [0] * (len(a) + len(b) - 1)
+            pairs = 0
             for i, x in enumerate(a):
                 if x == 0:
                     continue
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = f.add(out[i + j], f.mul(x, y))
+                pairs += len(b_logs)
+                lx = log[x]
+                if prime:
+                    for j, ly in b_logs:
+                        out[i + j] = (out[i + j] + exp2[lx + ly]) % p
+                else:
+                    for j, ly in b_logs:
+                        out[i + j] ^= exp2[lx + ly]
+            add_mul_ops(pairs)
             return Poly(f, out)
         if f.kind == "prime":
             prod = np.convolve(np.asarray(a, dtype=np.int64),
@@ -124,20 +136,38 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Poly.zero(f), self
+        # Long division in the log domain.  `terms` holds (j, log(d_j / lead))
+        # for the nonzero lower divisor coefficients, so each step is one
+        # lookup for the quotient coefficient c / lead and one per term for
+        # rem -= (c / lead) * d_j; the x^dd term of rem cancels exactly.
+        # Multiplications are counted as the scalar loop counts them: the
+        # inverse of the lead, then 1 + (nonzero d_j) per nonzero step.
         rem = list(self.coeffs)
         den = other.coeffs
         dd = len(den) - 1
-        lead_inv = f.inv(den[-1])
+        n = f.q - 1
+        exp2, log = f._exp2, f.log
+        lead_log = log[den[-1]]
+        inv_log = n - lead_log
+        terms = [(j, (log[d] - lead_log) % n) for j, d in enumerate(den[:-1]) if d]
+        prime, p = f.kind == "prime", f.p
         quot = [0] * (len(rem) - dd)
+        steps = 0
         for i in range(len(rem) - dd - 1, -1, -1):
             c = rem[i + dd]
             if c == 0:
                 continue
-            c = f.mul(c, lead_inv)
-            quot[i] = c
-            for j in range(dd + 1):
-                if den[j]:
-                    rem[i + j] = f.sub(rem[i + j], f.mul(c, den[j]))
+            steps += 1
+            lc = log[c]
+            quot[i] = exp2[lc + inv_log]
+            rem[i + dd] = 0
+            if prime:
+                for j, dl in terms:
+                    rem[i + j] = (rem[i + j] - exp2[lc + dl]) % p
+            else:
+                for j, dl in terms:
+                    rem[i + j] ^= exp2[lc + dl]
+        add_mul_ops(1 + steps * (len(terms) + 2))
         return Poly(f, quot), Poly(f, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -168,8 +198,22 @@ class Poly:
         return Poly(f, self.coeffs[:k]), Poly(f, (0,) * k + self.coeffs[k:])
 
     def roots_nonzero(self) -> set[int]:
-        """All nonzero field elements where the polynomial vanishes."""
-        return {x for x in range(1, self.field.q) if self(x) == 0}
+        """All nonzero field elements where the polynomial vanishes.
+
+        A Chien search: one `eval_at_powers` over all q - 1 nonzero points
+        alpha^i, after folding degree i onto i mod (q - 1), since
+        x^(q-1) = 1 for nonzero x.
+        """
+        f = self.field
+        n = f.q - 1
+        coeffs = self.coeffs
+        if len(coeffs) > n:
+            folded = [0] * n
+            for i, c in enumerate(coeffs):
+                folded[i % n] = f.add(folded[i % n], c)
+            coeffs = folded
+        vals = f.eval_at_powers(coeffs, first=0, count=n)
+        return {f.exp[i] for i in np.flatnonzero(vals == 0).tolist()}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.field == other.field

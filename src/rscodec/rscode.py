@@ -50,14 +50,22 @@ class RSCode:
     # ----- validation -----------------------------------------------------------
 
     def check_word(self, word: Sequence[int]) -> tuple[int, ...]:
-        if len(word) != self.n:
-            raise ValueError(f"word length {len(word)} != n = {self.n}")
-        return tuple(self.field.check(x) for x in word)
+        return tuple(self._word_array(word).tolist())
 
     def check_message(self, message: Sequence[int]) -> tuple[int, ...]:
+        return tuple(self._message_array(message).tolist())
+
+    # The validated word or message as an int64 array (one numpy pass).
+
+    def _word_array(self, word: Sequence[int]) -> np.ndarray:
+        if len(word) != self.n:
+            raise ValueError(f"word length {len(word)} != n = {self.n}")
+        return self.field.asarray(word)
+
+    def _message_array(self, message: Sequence[int]) -> np.ndarray:
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k = {self.k}")
-        return tuple(self.field.check(x) for x in message)
+        return self.field.asarray(message)
 
     # ----- structure matrices (lazy, observationally immutable) ------------------
 
@@ -78,9 +86,8 @@ class RSCode:
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Evaluate the message polynomial at alpha^0, ..., alpha^(n-1)."""
-        message = self.check_message(message)
-        vals = self.field.eval_at_powers(message, first=0, count=self.n)
-        return tuple(int(x) for x in vals)
+        vals = self.field.eval_at_powers(self._message_array(message), first=0, count=self.n)
+        return tuple(vals.tolist())
 
     def word_evaluations(self, word: Sequence[int]) -> np.ndarray:
         """u(alpha^1), ..., u(alpha^n) for the word's polynomial u.
@@ -89,14 +96,13 @@ class RSCode:
         determines the interpolation polynomial, so decoders evaluate once
         and reuse.
         """
-        word = self.check_word(word)
-        return self.field.eval_at_powers(word, first=1, count=self.n)
+        return self.field.eval_at_powers(self._word_array(word), first=1, count=self.n)
 
     def syndromes(self, word: Sequence[int]) -> tuple[int, ...]:
         """u(alpha^1), ..., u(alpha^(n-k)); all zero iff word is a codeword."""
-        word = self.check_word(word)
-        vals = self.field.eval_at_powers(word, first=1, count=self.n - self.k)
-        return tuple(int(x) for x in vals)
+        vals = self.field.eval_at_powers(self._word_array(word), first=1,
+                                         count=self.n - self.k)
+        return tuple(vals.tolist())
 
     def is_codeword(self, word: Sequence[int]) -> bool:
         return not any(self.syndromes(word))
@@ -114,8 +120,8 @@ class RSCode:
         """f_0, ..., f_(k-1) of the word's interpolation polynomial, from
         the k evaluations f_i = -u(alpha^(n-i)); for a codeword, its
         message."""
-        word = self.check_word(word)
-        vals = self.field.eval_at_powers(word, first=self.n - self.k + 1, count=self.k)
+        vals = self.field.eval_at_powers(self._word_array(word), first=self.n - self.k + 1,
+                                         count=self.k)
         return tuple(self.field.neg_arr(vals[::-1]).tolist())
 
     def lagrange_basis(self, i: int) -> Poly:

@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rscodec import (
     DecodeFailure,
+    FeMat,
     DegreeTooHigh,
     InexactDivision,
     Poly,
@@ -57,6 +59,48 @@ def test_detect_none_beyond_capability():
 def test_detect_validates_length(rs72):
     with pytest.raises(ValueError):
         detect_error_count(rs72, (1, 2, 3))
+    # non-integer syndromes are rejected, not truncated to (3, 1, 5, 4)
+    with pytest.raises(ValueError):
+        detect_error_count(rs72, (3.7, 1, 5, 4))
+    with pytest.raises(ValueError):
+        detect_error_count(rs72, np.array([3.0, 1.0, 5.0, 4.0]))
+    with pytest.raises(ValueError):
+        solve_locator(rs72, (3.2, 1.0, 5, 4), 1)
+
+
+def _rank_definition(code, s):
+    # The paper's test, verbatim: the smallest t whose (n-k-t) x t Hankel
+    # matrix has the rank of its (n-k-t) x (t+1) augmentation.
+    rows = code.n - code.k
+    for t in range(code.tau + 1):
+        lhs = FeMat(code.field, [[s[i + j] for j in range(t)] for i in range(rows - t)])
+        aug = FeMat(code.field, [[s[i + j] for j in range(t + 1)] for i in range(rows - t)])
+        if lhs.rank() == aug.rank():
+            return t
+    return None
+
+
+@pytest.mark.parametrize("q, k, kw", [
+    (7, 2, {"alpha": 5}),
+    (16, 6, {"reduction": 0x19, "alpha": 6}),
+    (256, 223, {}),
+])
+def test_detect_matches_rank_definition(q, k, kw):
+    code = get_code(q, k, **kw)
+    f = code.field
+    rng = random.Random(q)
+    vectors = [tuple(rng.randrange(q) for _ in range(code.n - code.k)) for _ in range(40)]
+    for t in range(code.tau + 3):
+        cw = code.encode([rng.randrange(q) for _ in range(k)])
+        vectors.append(code.syndromes(corrupt(rng, code, cw, t)))
+    # a single nonzero last syndrome: its column cannot be reached by any t <= tau
+    vectors.append((0,) * (code.n - code.k - 1) + (1,))
+    seen = set()
+    for s in vectors:
+        want = _rank_definition(code, s)
+        assert detect_error_count(code, s) == want, (f, s)
+        seen.add(want)
+    assert None in seen and 0 in seen and code.tau in seen
 
 
 # ----- step 2: locator --------------------------------------------------------------
@@ -173,6 +217,18 @@ def test_decode_validates_word(rs72):
         decode(rs72, (1, 2, 3))
     with pytest.raises(ValueError):
         decode(rs72, (0, 0, 0, 0, 0, 9))
+    # accepted exactly as Field.check accepts each symbol
+    for word in ((3, 4, 2, 6, 5, False), np.array(V, dtype=np.uint8),
+                 np.array(V, dtype=np.int64), [np.int64(x) for x in V]):
+        out = decode(rs72, word)
+        assert out.codeword == V and type(out.codeword[-1]) is int
+    assert decode(rs72, (3, 4, 2, 6, 5, True)).error == (0, 0, 0, 0, 0, 1)
+    for bad in (2.0, 2.5, -1, 7, 2 ** 70, np.float64(2), np.True_):
+        with pytest.raises(ValueError):
+            decode(rs72, (3, 4, bad, 6, 5, 0))
+    for word in (np.array(V, dtype=float), np.array(V, dtype=bool), np.array(V) + 0.5):
+        with pytest.raises(ValueError):
+            decode(rs72, word)
 
 
 # ----- position-reading variant --------------------------------------------------------------

@@ -290,16 +290,47 @@ def test_asarray_validates_range(f7):
         f7.asarray([0, 7])
     with pytest.raises(ValueError):
         f7.asarray([-1])
+    # non-integers are rejected, never truncated
+    for bad in ([3.7], [1, 2.0], (3.2, 1.0, 5, 4), np.array([1.0, 2.0]),
+                np.array([0.5]), [2 ** 70], np.array([True, False])):
+        with pytest.raises(ValueError):
+            f7.asarray(bad)
+    assert f7.asarray([]).size == 0
+    assert f7.asarray(np.array([], dtype=float)).size == 0
+    assert f7.asarray([True, 2, np.uint8(6)]).tolist() == [1, 2, 6]
+    assert f7.asarray(np.array([6, 0], dtype=np.uint8)).tolist() == [6, 0]
+    assert f7.asarray(iter([1, 2])).dtype == np.int64
+
+
+# Scalars that `check` accepts (with their value) or rejects; `asarray`
+# must agree with it element by element.
+ELEMENT_CASES = [
+    (6, 6), (True, 1), (False, 0), (np.uint8(3), 3), (np.int64(6), 6),
+    (7, None), (-1, None), (2.0, None), (2.5, None), (2 ** 70, None),
+    (np.float64(2.0), None), (np.True_, None), ("3", None), (None, None),
+    (np.array([1], dtype=np.uint8), None), (np.array([1], dtype=np.int64), None),
+    (np.array([1.0]), None),
+]
 
 
 def test_check_validates(f7):
-    assert f7.check(6) == 6
-    with pytest.raises(ValueError):
-        f7.check(7)
-    with pytest.raises(ValueError):
-        f7.check(-1)
-    with pytest.raises(ValueError):
-        f7.check(2.5)
+    for value, want in ELEMENT_CASES:
+        if want is None:
+            with pytest.raises(ValueError):
+                f7.check(value)
+        else:
+            got = f7.check(value)
+            assert got == want and type(got) is int
+
+
+def test_asarray_agrees_with_check(f7):
+    for value, want in ELEMENT_CASES:
+        for seq in ([value], (4, value), [value, 5, 0]):
+            if want is None:
+                with pytest.raises(ValueError, match=r"is not an element of GF\(7\)"):
+                    f7.asarray(seq)
+            else:
+                assert f7.asarray(seq).tolist() == [f7.check(v) for v in seq]
 
 
 # ----- multiplication counter ----------------------------------------------------

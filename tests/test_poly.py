@@ -216,8 +216,23 @@ def test_numpy_mul_path_matches_schoolbook():
 
 
 def test_roots_match_eval_sweep():
-    f = get_field(17)
     rng = random.Random(99)
-    for _ in range(50):
-        p = random_poly(rng, f, 6)
-        assert p.roots_nonzero() == {x for x in range(1, 17) if p(x) == 0}
+    cases = [  # (field, max degree, trials, planted roots)
+        (get_field(17), 6, 50, 0),
+        (get_field(17), 40, 10, 3),           # degree >= q - 1: folded
+        (get_field(16, reduction=0x19, alpha=6), 12, 30, 4),
+        (get_field(16, reduction=0x19, alpha=6), 35, 10, 2),
+        (get_field(256), 16, 10, 8),
+        (get_field(4096), 16, 3, 8),          # past the power-matrix limit
+    ]
+    for f, max_degree, trials, planted in cases:
+        for _ in range(trials):
+            p = random_poly(rng, f, max_degree)
+            for _ in range(planted):
+                p = p * P(f, f.neg(rng.randrange(1, f.q)), 1)
+            assert p.roots_nonzero() == {x for x in range(1, f.q) if p(x) == 0}
+    f = get_field(16, reduction=0x19, alpha=6)
+    every = {x for x in range(1, 16)}
+    assert Poly.zero(f).roots_nonzero() == every
+    assert (Poly.monomial(f, 15) - Poly.one(f)).roots_nonzero() == every
+    assert Poly.monomial(f, 31, 3).roots_nonzero() == set()

@@ -3,17 +3,21 @@
 Encoders/decoders for RS(q, alpha, k) with n = q - 1 evaluation points,
 a brute-force oracle for small codes, an instrumented benchmark, and a
 block-stream CLI.  Every decoder is one pipeline: a count stage (the
-paper's rank scan or the PGZ determinant scan) finds the error count,
-the locator comes from the syndromes, and a tail stage (recover the
-codeword polynomial, or read the error positions off the locator's
-roots) produces a codeword that is verified before it is returned.
-`DECODERS` names the pairs.
+paper's rank scan or the PGZ determinant scan, each followed by the
+Hankel locator system, or Berlekamp-Massey) finds the error count and
+the error locator from the syndromes, and a tail stage (recover the
+codeword polynomial, or read the error positions off the locator's roots
+and the values off Forney's formula) produces a codeword that is
+verified before it is returned.  `DECODERS` names the pairs; the CLI
+decodes with `bm` unless told otherwise.
 """
 
 from .bench import DECODERS, TrialConfig, TrialReport, TrialRow, report_to_json, run_sweep
 from .decode_interp import (
     DecodeOutcome,
     DecodeTrace,
+    berlekamp_massey,
+    bm_decode,
     decode,
     decode_via_positions,
     detect_error_count,
@@ -62,6 +66,8 @@ __all__ = [
     "TrialReport",
     "TrialRow",
     "VerifyFailed",
+    "berlekamp_massey",
+    "bm_decode",
     "brute_min_distance",
     "brute_nearest",
     "codebook",

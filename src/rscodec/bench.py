@@ -3,9 +3,9 @@
 A sweep fixes a code, draws `trials_per_t` random (codeword, corruption)
 pairs for each requested error weight t, runs each configured decoder on
 the same corrupted words, and aggregates per (decoder, t): success and
-failure counts, mean step-1 work counters (rank checks for the
-interpolation decoders, determinant evaluations for PGZ), mean field
-multiplications, and mean wall time.
+failure counts, mean count-stage work counters (rank checks for the
+interpolation decoders, determinant evaluations for PGZ, neither for
+BM), mean field multiplications, and mean wall time.
 
 A trial succeeds when the decoder returns exactly the transmitted
 codeword; a DecodeFailure or a different (necessarily verified) codeword
@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 from . import gf
-from .decode_interp import decode, decode_via_positions
+from .decode_interp import bm_decode, decode, decode_via_positions
 from .decode_pgz import pgz_decode
 from .exceptions import DecodeFailure
 from .rscode import RSCode
@@ -36,6 +36,7 @@ DECODERS = {
     "interp_positions": decode_via_positions,
     "interp-pos": decode_via_positions,
     "pgz": pgz_decode,
+    "bm": bm_decode,
 }
 
 

@@ -281,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_corrupt)
 
     p = sub.add_parser("decode", help="decode a coded stream back to its payload")
-    p.add_argument("--decoder", choices=sorted(DECODERS), default="interp",
-                   help="decoding algorithm (default: interp)")
+    p.add_argument("--decoder", choices=sorted(DECODERS), default="bm",
+                   help="decoding algorithm (default: bm)")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 if any block is uncorrectable")
     p.add_argument("--stats", metavar="FILE", default=None,

@@ -1,22 +1,32 @@
-"""The decoder pipeline: a count stage, the locator, and a tail stage.
+"""The decoder pipeline: a count stage, then a tail stage.
 
 Write the received word as u = c + e with c a codeword and e of Hamming
 weight t.  Every decoder runs one flow on the n - k syndromes
 s_r = u(alpha^(r+1)):
 
-1. count stage: find t <= tau or raise TooManyErrors; t = 0 returns at once;
-2. solve the t x t Hankel system [s_(i+j)] for the monic error locator
-   lambda, whose roots are alpha^i for the error positions i;
-3. tail stage: turn the word and the locator into a codeword;
-4. verify codeword membership and distance exactly t.
+1. count stage: find t <= tau and the monic error locator lambda, whose
+   roots are alpha^i for the error positions i, or raise TooManyErrors or
+   SingularLocatorSystem; t = 0 returns at once;
+2. tail stage: turn the word and the locator into a codeword;
+3. verify codeword membership and distance exactly t.
 
-Count stages: the paper's rank scan (`detect_error_count`, the smallest t
-whose (n-k-t) x t Hankel matrix has the rank of its (n-k-t) x (t+1)
-augmentation; t + 1 rank checks, each one elimination of the augmented
-matrix with pivots restricted to its first t columns) and the
-Peterson-Gorenstein-Zierler determinant scan (the largest h <= tau with
-a nonzero h x h Hankel determinant; 0 checks for a codeword, tau - t + 1
-on success, tau on failure).
+Count stages, each (code, syndromes) -> (t, locator, trace):
+
+- the paper's rank scan (`detect_error_count`, the smallest t whose
+  (n-k-t) x t Hankel matrix has the rank of its (n-k-t) x (t+1)
+  augmentation; t + 1 rank checks, each one elimination of the augmented
+  matrix with pivots restricted to its first t columns), then the t x t
+  Hankel system [s_(i+j)] for lambda (`solve_locator`);
+- the Peterson-Gorenstein-Zierler determinant scan (the largest h <= tau
+  with a nonzero h x h Hankel determinant; 0 checks for a codeword,
+  tau - t + 1 on success, tau on failure), then `solve_locator`;
+- Berlekamp-Massey (`berlekamp_massey`).  Candidate t passes the rank
+  check iff some length-t LFSR generates all n - k syndromes, so the
+  paper's t is the sequence's linear complexity L, and lambda is the
+  shortest LFSR's connection polynomial C reversed, x^L C(1/x).  L > tau
+  is TooManyErrors and deg C < L (lambda(0) = 0) is
+  SingularLocatorSystem, exactly where the rank scan and `solve_locator`
+  fail.  It leaves both trace counters at 0.
 
 Tails: the paper's recover (`_recover`) extends the syndromes by the
 other k evaluations to the interpolation polynomial f_u (degree < n).
@@ -24,14 +34,17 @@ lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg f_c < k, so mu is
 read off the coefficients of x^n and above, f_c = f_u - (x^n - 1) * mu /
 lambda with the division exact, and the codeword is f_c evaluated at
 alpha^0, ..., alpha^(n-1).  Positions (`_error_positions_and_values`)
-reads the error positions off the locator's roots and solves a t x t
-system for the error values; it never interpolates the whole word.
+reads the error positions off the locator's roots (a Chien search) and
+takes the error values from Forney's formula, which gives the solution of
+the t x t value system without solving it; it never interpolates the
+whole word.
 
 The decoders are the pairs `decode` (rank scan, recover),
-`decode_via_positions` (rank scan, positions) and `pgz_decode`
-(determinant scan, positions).  As every answer is re-verified, inputs
-beyond the correction radius either raise DecodeFailure or decode to
-some codeword genuinely within distance tau.
+`decode_via_positions` (rank scan, positions), `pgz_decode`
+(determinant scan, positions) and `bm_decode` (Berlekamp-Massey,
+positions).  As every answer is re-verified, inputs beyond the
+correction radius either raise DecodeFailure or decode to some codeword
+genuinely within distance tau.
 """
 
 from __future__ import annotations
@@ -51,6 +64,7 @@ from .exceptions import (
     VerifyFailed,
 )
 from .femat import FeMat, _eliminate
+from .gf import add_mul_ops
 from .poly import Poly
 from .rscode import RSCode
 
@@ -60,9 +74,9 @@ class DecodeTrace:
     """Work counters and intermediate values of one decode call.
 
     rank_checks counts the rank scan's rank-equality tests, det_checks the
-    determinant scan's determinants; the count stage that did not run
-    leaves its counter at 0.  The interp_* and high_* values are set by
-    the recover tail only.
+    determinant scan's determinants; a scan that did not run leaves its
+    counter at 0, so Berlekamp-Massey leaves both at 0.  The interp_* and
+    high_* values are set by the recover tail only.
     """
 
     rank_checks: int = 0
@@ -107,14 +121,18 @@ def decode_via_positions(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     return _run(code, word, _rank_scan, _error_positions_and_values)
 
 
+def bm_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
+    """Berlekamp-Massey, then the error positions and Forney's values."""
+    return _run(code, word, _bm_scan, _error_positions_and_values)
+
+
 def _run(code: RSCode, word: Sequence[int], count_stage, tail) -> DecodeOutcome:
     word = code.check_word(word)
     synd = code.syndromes(word)
-    t, trace = count_stage(code, synd)
+    t, locator, trace = count_stage(code, synd)
     if t == 0:
-        return DecodeOutcome(word, (0,) * code.n, 0, Poly.one(code.field), trace, code)
+        return DecodeOutcome(word, (0,) * code.n, 0, locator, trace, code)
     try:
-        locator = solve_locator(code, synd, t)
         cw, message = tail(code, word, synd, locator, trace)
         return _verified_outcome(code, word, cw, t, locator, trace, message)
     except DecodeFailure as exc:
@@ -127,7 +145,11 @@ def _hankel(syndromes: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return syndromes[idx]
 
 
-# ----- count stages: (code, syndromes) -> (t, trace), or TooManyErrors ----------
+# ----- count stages: (code, syndromes) -> (t, locator, trace), or DecodeFailure -----
+
+_ZERO_CONSTANT = ("locator constant term is zero, implying an error at the "
+                  "excluded point 0")
+
 
 def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
     """Smallest t in [0, tau] consistent with the syndromes, else None.
@@ -147,26 +169,108 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
     return None
 
 
-def _rank_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, DecodeTrace]:
+def _rank_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, Poly, DecodeTrace]:
     t = detect_error_count(code, synd)
     if t is None:
         raise TooManyErrors(
             f"no error count <= tau = {code.tau} fits the syndromes",
             trace=DecodeTrace(rank_checks=code.tau + 1))
-    return t, DecodeTrace(rank_checks=t + 1)
+    return _with_locator(code, synd, t, DecodeTrace(rank_checks=t + 1))
 
 
-def _determinant_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, DecodeTrace]:
+def _determinant_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, Poly, DecodeTrace]:
     s = _check_syndromes(code, synd)
     if not s.any():
-        return 0, DecodeTrace()
+        return 0, Poly.one(code.field), DecodeTrace()
     for checks, h in enumerate(range(code.tau, 0, -1), start=1):
         if FeMat._wrap(code.field, _hankel(s, h, h)).det() != 0:
-            return h, DecodeTrace(det_checks=checks)
+            return _with_locator(code, synd, h, DecodeTrace(det_checks=checks))
     raise TooManyErrors(
         f"all Hankel determinants up to tau = {code.tau} vanish for a "
         "nonzero syndrome vector",
         trace=DecodeTrace(det_checks=code.tau))
+
+
+def _with_locator(code: RSCode, synd: Sequence[int], t: int,
+                  trace: DecodeTrace) -> tuple[int, Poly, DecodeTrace]:
+    """The count stage's result with the Hankel locator of `solve_locator`;
+    a SingularLocatorSystem carries the stage's trace."""
+    if t == 0:
+        return 0, Poly.one(code.field), trace
+    try:
+        return t, solve_locator(code, synd, t), trace
+    except DecodeFailure as exc:
+        exc.trace = trace
+        raise
+
+
+def _bm_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, Poly, DecodeTrace]:
+    trace = DecodeTrace()
+    t, locator = berlekamp_massey(code, synd)
+    if t > code.tau:
+        raise TooManyErrors(
+            f"the syndromes have linear complexity {t} > tau = {code.tau}", trace=trace)
+    if locator.coeffs[0] == 0:
+        raise SingularLocatorSystem(_ZERO_CONSTANT, trace=trace)
+    return t, locator, trace
+
+
+def berlekamp_massey(code: RSCode, syndromes: Sequence[int]) -> tuple[int, Poly]:
+    """Linear complexity L of the syndrome sequence and the monic locator
+    x^L * C(1/x), where C (C_0 = 1) is the connection polynomial of the
+    shortest LFSR generating the syndromes.
+
+    L may exceed tau, and the locator's constant term is zero when
+    deg C < L; the `bm` count stage rejects both.  Massey's algorithm in
+    the log domain: the discrepancy costs one multiplication per nonzero
+    product C_i * s_(r-i) (i >= 1), a correction costs one division and one
+    multiplication per nonzero coefficient of the shifted earlier C.
+    """
+    s = _check_syndromes(code, syndromes).tolist()
+    f = code.field
+    if not any(s):
+        return 0, Poly.one(f)
+    n = f.q - 1
+    exp2, log = f._exp2, f.log
+    prime, p = f.kind == "prime", f.p
+    s_log = [log[x] if x else -1 for x in s]
+    conn: list[int] = [1]      # C
+    conn_terms: list[tuple[int, int]] = []  # (i, log C_i) for nonzero C_i, i >= 1
+    prev_terms = [(0, 0)]      # the same for C before the last length change
+    prev_log = 0               # log of the discrepancy at that change
+    length, shift, muls = 0, 1, 0
+    for r, d in enumerate(s):
+        for i, cl in conn_terms:
+            sl = s_log[r - i]
+            if sl >= 0:
+                muls += 1
+                if prime:
+                    d += exp2[cl + sl]
+                else:
+                    d ^= exp2[cl + sl]
+        if prime:
+            d %= p
+        if d == 0:
+            shift += 1
+            continue
+        # C <- C - (d / d_prev) x^shift C_prev
+        coef_log = (log[d] - prev_log) % n
+        muls += len(prev_terms)  # the division; C_prev_0 = 1 needs no product
+        new = conn + [0] * (shift + prev_terms[-1][0] + 1 - len(conn))
+        for j, bl in prev_terms:
+            if prime:
+                new[j + shift] = (new[j + shift] - exp2[coef_log + bl]) % p
+            else:
+                new[j + shift] ^= exp2[coef_log + bl]
+        if 2 * length <= r:
+            prev_terms = [(0, 0)] + conn_terms
+            prev_log, length, shift = log[d], r + 1 - length, 1
+        else:
+            shift += 1
+        conn = new
+        conn_terms = [(i, log[c]) for i, c in enumerate(conn) if i and c]
+    add_mul_ops(muls)
+    return length, Poly(f, (conn + [0] * length)[:length + 1][::-1])
 
 
 def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
@@ -186,9 +290,7 @@ def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
         raise SingularLocatorSystem(
             f"locator system for t={t} is {res.status.value}")
     if res.solution[0] == 0:
-        raise SingularLocatorSystem(
-            "locator constant term is zero, implying an error at the "
-            "excluded point 0")
+        raise SingularLocatorSystem(_ZERO_CONSTANT)
     return Poly(code.field, res.solution + (1,))
 
 
@@ -233,25 +335,62 @@ def _recover(code: RSCode, word: tuple[int, ...], synd: Sequence[int],
 
 def _error_positions_and_values(code: RSCode, word: tuple[int, ...], synd: Sequence[int],
                                 locator: Poly, trace: DecodeTrace) -> tuple[tuple[int, ...], None]:
-    """Error positions (locator roots' discrete logs) and values,
-    subtracted from the word."""
+    """Error positions (locator roots' discrete logs) and Forney's values,
+    subtracted from the word.
+
+    With Lambda(x) = x^t lambda(1/x) = prod_j (1 - X_j x) and
+    Omega = (sum_(r<t) s_r x^r) Lambda mod x^t, the value at X = alpha^i is
+    e_i = -Omega(X^-1) / Lambda'(X^-1), the solution of the t x t system
+    sum_j X_j^(r+1) e_j = s_r (r < t).  One multiplication is counted per
+    product formed; products by 1 (Lambda_0 and Lambda' 's factor 1) are not.
+    """
     f = code.field
     t = locator.degree
     roots = locator.roots_nonzero()
     if len(roots) != t:
         raise RootCountMismatch(
             f"locator of degree {t} has {len(roots)} distinct nonzero roots")
-    positions = sorted(f.dlog(r) for r in roots)
-    # Row r (0-based) of the system: sum_j alpha^((r+1) * i_j) e_(i_j) = s_r.
-    lhs = FeMat(f, [[f.pow(f.alpha, (r + 1) * pos) for pos in positions]
-                    for r in range(t)])
-    res = lhs.solve(list(synd[:t]))
-    if not res.is_unique():
-        raise SingularLocatorSystem(
-            f"error value system for t={t} is {res.status.value}")
+    n = f.q - 1
+    exp2, log = f._exp2, f.log
+    prime, p = f.kind == "prime", f.p
+    lam = locator.coeffs[::-1]  # Lambda_j = lambda_(t-j), Lambda_0 = 1
+    s = [int(x) for x in synd[:t]]
+    omega = list(s)
+    muls = 0
+    for j in range(1, t):
+        if lam[j]:
+            for r in range(j, t):
+                if s[r - j]:
+                    muls += 1
+                    omega[r] = f.add(omega[r], exp2[log[lam[j]] + log[s[r - j]]])
+    # Lambda' = sum_(j >= 1) j Lambda_j x^(j-1); in characteristic 2, j is 0 or 1.
+    deriv = [0] * t
+    for j in range(1, t + 1):
+        if prime and j > 1 and lam[j]:
+            muls += 1
+            deriv[j - 1] = lam[j] * j % p
+        elif prime or j % 2:
+            deriv[j - 1] = lam[j]
+
+    def at_inverse(poly: list[int], inv_log: int) -> int:
+        # poly(alpha^inv_log) with one lookup per nonzero term of degree >= 1
+        acc = poly[0]
+        for i, c in enumerate(poly):
+            if i and c:
+                v = exp2[log[c] + i * inv_log % n]
+                acc = (acc + v) % p if prime else acc ^ v
+        return acc
+
+    omega_muls = sum(1 for c in omega[1:] if c)
+    deriv_muls = sum(1 for c in deriv[1:] if c) + 1  # with the division
     cw = list(word)
-    for pos, val in zip(positions, res.solution):
-        cw[pos] = f.sub(cw[pos], val)
+    for pos in map(f.dlog, roots):
+        num = at_inverse(omega, n - pos)
+        muls += omega_muls
+        if num:
+            muls += deriv_muls
+            cw[pos] = f.add(cw[pos], exp2[log[num] - log[at_inverse(deriv, n - pos)] + n])
+    add_mul_ops(muls)
     return tuple(cw), None
 
 

@@ -4,8 +4,11 @@ PGZ is the pipeline of `decode_interp` with the determinant scan as its
 count stage: after a fast path for the all-zero syndrome vector (t = 0),
 it evaluates det of the h x h Hankel syndrome matrix for
 h = tau, tau - 1, ..., 1 and takes the first h whose determinant is
-nonzero.  The locator, the positions tail and the verification are the
-ones `decode_via_positions` uses.
+nonzero, and solves the h x h Hankel system for the locator.  The
+positions tail and the verification are the ones `decode_via_positions`
+uses: the error positions are the locator's roots and the error values
+come from Forney's formula, so the locator system is the only linear
+system PGZ solves.
 
 The determinant count per call is therefore 0 when the word is already a
 codeword, tau - t + 1 for a successful decode of weight t >= 1, and tau

@@ -247,8 +247,9 @@ def test_c7_cli_end_to_end(tmp_path, capsys):
             assert main(["corrupt", "--errors", "100", "--seed", "1",
                          "--format", fmt, str(stream), str(bad)]) == EXIT_OK
             # weight 100 <= tau = 125 for RS(256, k=4)
-            for decoder in ("interp", "interp-pos", "pgz"):
-                assert main(["decode", "--decoder", decoder, "--strict",
+            # every registered decoder, then the default
+            for choice in [["--decoder", name] for name in sorted(DECODERS)] + [[]]:
+                assert main(["decode", *choice, "--strict",
                              "--format", fmt, str(bad), str(out)]) == EXIT_OK
                 got = out.read_bytes() if fmt == "bin" else bytes(
                     int(tok) for tok in out.read_text().split())

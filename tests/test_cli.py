@@ -136,7 +136,7 @@ def test_decode_stats(tmp_path):
     payload.write_text("1 1 0 2")
     run("encode", "--q", 7, "--k", 2, "--alpha", 5, payload, stream)
     run("corrupt", "--errors", 1, "--seed", 1, stream, bad)
-    assert run("decode", "--stats", stats, bad, out) == EXIT_OK
+    assert run("decode", "--decoder", "interp", "--stats", stats, bad, out) == EXIT_OK
     recs = [json.loads(line) for line in stats.read_text().splitlines()]
     assert [r["block"] for r in recs] == [0, 1]
     for rec in recs:
@@ -144,6 +144,15 @@ def test_decode_stats(tmp_path):
         assert rec["t"] == 1
         assert rec["rank_checks"] == 2
         assert rec["det_checks"] == 0
+        assert rec["mul_count"] > 0
+    # the default decoder (bm) runs neither scan
+    assert run("decode", "--stats", stats, bad, out) == EXIT_OK
+    recs = [json.loads(line) for line in stats.read_text().splitlines()]
+    assert [r["block"] for r in recs] == [0, 1]
+    for rec in recs:
+        assert rec["status"] == "ok"
+        assert rec["t"] == 1
+        assert rec["rank_checks"] == rec["det_checks"] == 0
         assert rec["mul_count"] > 0
 
 

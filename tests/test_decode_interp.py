@@ -1,5 +1,6 @@
 """Interpolation-degree decoder: worked fixtures, failure paths, properties."""
 
+import itertools
 import math
 import random
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from rscodec import (
+    DECODERS,
     DecodeFailure,
+    DecodeTrace,
     FeMat,
     DegreeTooHigh,
     InexactDivision,
@@ -15,6 +18,7 @@ from rscodec import (
     RootCountMismatch,
     SingularLocatorSystem,
     TooManyErrors,
+    berlekamp_massey,
     decode,
     decode_via_positions,
     detect_error_count,
@@ -22,6 +26,7 @@ from rscodec import (
     recover_codeword_polynomial,
     solve_locator,
 )
+from rscodec.decode_interp import _bm_scan, _error_positions_and_values
 from rscodec.oracle import brute_nearest
 
 from .util import corrupt, get_code, random_word
@@ -95,12 +100,38 @@ def test_detect_matches_rank_definition(q, k, kw):
         vectors.append(code.syndromes(corrupt(rng, code, cw, t)))
     # a single nonzero last syndrome: its column cannot be reached by any t <= tau
     vectors.append((0,) * (code.n - code.k - 1) + (1,))
+    # a single nonzero first syndrome fits s_r = 0 * s_(r-1): t = 1 with the
+    # locator x, whose zero constant term both locator stages reject
+    vectors.append((1,) + (0,) * (code.n - code.k - 1))
     seen = set()
+    singular = 0
     for s in vectors:
         want = _rank_definition(code, s)
         assert detect_error_count(code, s) == want, (f, s)
         seen.add(want)
+        # Berlekamp-Massey: the linear complexity is the same count, and the
+        # reversed connection polynomial is the Hankel locator
+        length, lam = berlekamp_massey(code, s)
+        assert (length if length <= code.tau else None) == want, (f, s)
+        if want is None:
+            with pytest.raises(TooManyErrors):
+                _bm_scan(code, s)
+        if not want:
+            continue
+        assert lam.degree == want and lam.coeffs[-1] == 1
+        try:
+            ref = solve_locator(code, s, want)
+        except SingularLocatorSystem:
+            singular += 1
+            assert lam.coeffs[0] == 0, (f, s)
+            with pytest.raises(SingularLocatorSystem, match="constant term is zero") as exc:
+                _bm_scan(code, s)
+            assert exc.value.trace == DecodeTrace()
+        else:
+            assert lam == ref, (f, s)
+            assert _bm_scan(code, s)[:2] == (want, ref)
     assert None in seen and 0 in seen and code.tau in seen
+    assert singular > 0
 
 
 # ----- step 2: locator --------------------------------------------------------------
@@ -251,6 +282,37 @@ def test_positions_fixture_double(rs72):
     assert out.locator.roots_nonzero() == {2, 3}
 
 
+@pytest.mark.parametrize("q, k, kw", [
+    (7, 2, {"alpha": 5}),
+    (16, 6, {"reduction": 0x19, "alpha": 6}),
+    (257, 236, {}),
+])
+def test_forney_values_solve_the_value_system(q, k, kw):
+    # For any syndromes and any locator with t distinct nonzero roots
+    # alpha^(i_j), Forney's values are the solution of the t x t system
+    # sum_j alpha^((r+1) i_j) e_j = s_r (r < t).  So the positions tail
+    # subtracts the same values as a linear solve would, past the radius too.
+    code = get_code(q, k, **kw)
+    f = code.field
+    rng = random.Random(q + 7)
+    zero = (0,) * code.n
+    for _ in range(60):
+        t = rng.randrange(1, code.tau + 1)
+        positions = sorted(rng.sample(range(code.n), t))
+        locator = Poly.one(f)
+        for i in positions:
+            locator = locator * Poly(f, (f.neg(f.pow(f.alpha, i)), 1))
+        synd = tuple(rng.randrange(q) for _ in range(code.n - code.k))
+        system = FeMat(f, [[f.pow(f.alpha, (r + 1) * i) for i in positions]
+                           for r in range(t)])
+        want = system.solve(list(synd[:t])).solution
+        cw, message = _error_positions_and_values(code, zero, synd, locator, DecodeTrace())
+        assert message is None
+        got = tuple(f.neg(c) for c in cw)
+        assert tuple(got[i] for i in positions) == want
+        assert not any(c for j, c in enumerate(got) if j not in positions)
+
+
 def test_positions_codeword(rs72):
     out = decode_via_positions(rs72, V)
     assert out.codeword == V and out.error_count == 0
@@ -298,6 +360,32 @@ def test_roundtrip_all_dimensions(q):
             assert out.trace.rank_checks == t + 1
             assert hamming(u, cw) == t
             assert out.error == tuple(f.sub(a, b) for a, b in zip(u, cw))
+
+
+@pytest.mark.parametrize("k, accepted", [(1, 85), (2, 425), (3, 125)])
+def test_whole_space_ball_volume(k, accepted):
+    # Every word of GF(5)^4: all registered decoders accept the same words,
+    # with the same codewords, and exactly q^k * sum_(i <= tau) C(n, i)(q-1)^i
+    # of them, the words within tau of a codeword; every rejection is typed.
+    code = get_code(5, k)
+    q, n, tau = code.field.q, code.n, code.tau
+    assert q ** k * sum(math.comb(n, i) * (q - 1) ** i for i in range(tau + 1)) == accepted
+    decoders = dict.fromkeys(DECODERS.values())
+    count = 0
+    for u in itertools.product(range(q), repeat=n):
+        outs = set()
+        for fn in decoders:
+            try:
+                out = fn(code, u)
+            except DecodeFailure as exc:
+                assert isinstance(exc.trace, DecodeTrace), (fn, u)
+                outs.add(None)
+            else:
+                assert hamming(u, out.codeword) == out.error_count <= tau
+                outs.add((out.codeword, out.message))
+        assert len(outs) == 1, u
+        count += None not in outs
+    assert count == accepted
 
 
 def test_locator_factors_over_error_positions():

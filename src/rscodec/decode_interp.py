@@ -8,7 +8,8 @@ s_r = u(alpha^(r+1)):
    roots are alpha^i for the error positions i, or raise TooManyErrors or
    SingularLocatorSystem; t = 0 returns at once;
 2. tail stage: turn the word and the locator into a codeword;
-3. verify codeword membership and distance exactly t.
+3. verify codeword membership (the error word - codeword has the word's
+   syndromes) and distance exactly t.
 
 Count stages, each (code, syndromes) -> (t, locator, trace):
 
@@ -134,7 +135,7 @@ def _run(code: RSCode, word: Sequence[int], count_stage, tail) -> DecodeOutcome:
         return DecodeOutcome(word, (0,) * code.n, 0, locator, trace, code)
     try:
         cw, message = tail(code, word, synd, locator, trace)
-        return _verified_outcome(code, word, cw, t, locator, trace, message)
+        return _verified_outcome(code, word, synd, cw, t, locator, trace, message)
     except DecodeFailure as exc:
         exc.trace = trace
         raise
@@ -394,13 +395,20 @@ def _error_positions_and_values(code: RSCode, word: tuple[int, ...], synd: Seque
     return tuple(cw), None
 
 
-def _verified_outcome(code: RSCode, word: tuple[int, ...], cw: tuple[int, ...],
-                      t: int, locator: Poly, trace: DecodeTrace,
+def _verified_outcome(code: RSCode, word: tuple[int, ...], synd: tuple[int, ...],
+                      cw: tuple[int, ...], t: int, locator: Poly, trace: DecodeTrace,
                       message: tuple[int, ...] | None) -> DecodeOutcome:
-    if any(code.syndromes(cw)):
-        raise VerifyFailed("decoded word is not a codeword")
     err = code.field.sub_arr(np.array(word, dtype=np.int64), np.array(cw, dtype=np.int64))
     weight = int(np.count_nonzero(err))
+    # Syndromes are linear, so cw is a codeword iff the error word - cw has
+    # the word's syndromes.  The sparser of err and cw is evaluated: (n - k) t
+    # products for a decoded word, none for the zero codeword, not (n - k) n.
+    if weight <= np.count_nonzero(cw):
+        is_codeword = code.syndromes(err) == synd
+    else:
+        is_codeword = not any(code.syndromes(cw))
+    if not is_codeword:
+        raise VerifyFailed("decoded word is not a codeword")
     if weight != t:
         raise VerifyFailed(
             f"decoded codeword is at distance {weight}, expected exactly {t}")

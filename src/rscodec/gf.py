@@ -27,10 +27,18 @@ accepts Python ints (bools included) and numpy integer scalars in
 falls back to `check`, element by element, for anything else, so both
 accept the same values and name the first value they reject.
 
+Polynomial evaluation has one path, `eval_at_powers`: every term of
+every point is one antilog lookup at ((first + r) j + log c_j) mod (q - 1),
+formed over the nonzero coefficients only, in blocks of at most
+`_EVAL_BLOCK` (point, term) pairs, so its scratch memory is bounded on
+every field and no per-field table grows with q^2.
+
 The module keeps a global count of field multiplications (including
 inversions and divisions, and the element products performed inside bulk
 kernels) so callers can compare the multiplicative cost of algorithms.
-The counter is a plain module global and is not thread safe.
+`eval_at_powers` counts one per product it forms, count x (nonzero
+coefficients), on every field; `mul_arr` and `scale_arr` count one per
+element.  The counter is a plain module global and is not thread safe.
 """
 
 from __future__ import annotations
@@ -65,9 +73,10 @@ DEFAULT_REDUCTIONS = {
     16: 0x1100B,
 }
 
-# Largest group order for which an (n x n) exponent-product matrix is kept
-# per field to vectorise many-point polynomial evaluation.
-_POWER_MATRIX_LIMIT = 2048
+# Most entries of one exponent block of `Field.eval_at_powers`: the points
+# are taken in row chunks of at most this many (point, term) pairs, so an
+# evaluation's scratch memory stays bounded on GF(2^16).
+_EVAL_BLOCK = 1 << 18
 
 _mul_ops = 0
 
@@ -154,7 +163,7 @@ class Field:
 
     __slots__ = (
         "kind", "q", "p", "m", "reduction", "alpha",
-        "exp", "log", "_exp2", "_exp_np", "_exp2_np", "_log_np", "_pmat",
+        "exp", "log", "_exp2", "_exp_np", "_exp2_np", "_log_np",
     )
 
     def __init__(self, q: int, *, reduction: int | None = None,
@@ -206,12 +215,11 @@ class Field:
         self.exp = exp
         self.log = log
         self._exp2 = exp + exp
-        self._exp_np = np.array(exp, dtype=np.int64)
+        self._exp_np = np.array(exp, dtype=np.uint16)  # every element is below 2^16
         self._exp2_np = np.array(self._exp2, dtype=np.int64)
         lg = np.array(log, dtype=np.int64)
         lg[0] = 0  # never a valid log; callers mask zeros before gathering
         self._log_np = lg
-        self._pmat = None
 
     # ----- construction helpers -------------------------------------------------
 
@@ -394,16 +402,6 @@ class Field:
         add_mul_ops(out.size)
         return out
 
-    def _power_matrix(self) -> np.ndarray | None:
-        # E[i, j] = (i * j) mod (q - 1), so alpha^E[i, j] = (alpha^i)^j.
-        n = self.q - 1
-        if n > _POWER_MATRIX_LIMIT:
-            return None
-        if self._pmat is None:
-            i = np.arange(n, dtype=np.int64)
-            self._pmat = (i[:, None] * i[None, :]) % n
-        return self._pmat
-
     def eval_at_powers(self, coeffs: Sequence[int], first: int = 0,
                        count: int | None = None) -> np.ndarray:
         """Evaluate sum_j coeffs[j] x^j at x = alpha^first, ..., alpha^(first+count-1).
@@ -418,27 +416,27 @@ class Field:
         if c.size > n:
             raise ValueError(f"polynomial degree must be below {n}")
         out = np.zeros(count, dtype=np.int64)
-        if count == 0:
-            return out
         nz = np.flatnonzero(c)
         if nz.size == 0:
             return out
-        emat = self._power_matrix()
-        if emat is not None:
-            rows = (first + np.arange(count, dtype=np.int64)) % n
-            terms = self._exp2_np[emat[np.ix_(rows, nz)] + self._log_np[c[nz]][None, :]]
+        # Term j at point alpha^(first + r) is alpha^(((first + r) j + log c_j)
+        # mod n).  With (first + r) mod n, j and log c_j all below n <= 2^16 - 1,
+        # the exponent stays below 2^32, so the block is uint32.
+        j = nz.astype(np.uint32)
+        logs = self._log_np[c[nz]].astype(np.uint32)
+        rows = ((first + np.arange(count, dtype=np.int64)) % n).astype(np.uint32)
+        step = max(1, _EVAL_BLOCK // nz.size)
+        for lo in range(0, count, step):
+            e = np.multiply.outer(rows[lo:lo + step], j)
+            e += logs
+            np.remainder(e, n, out=e)
+            terms = np.take(self._exp_np, e)
             if self.kind == "prime":
-                out = np.add.reduce(terms, axis=1) % self.p
+                out[lo:lo + step] = terms.sum(axis=1, dtype=np.int64) % self.p
             else:
-                out = np.bitwise_xor.reduce(terms, axis=1)
-            add_mul_ops(int(count) * int(nz.size))
-            return out
-        # Large group: Horner across the point vector instead.
-        pts = self._exp_np[(first + np.arange(count, dtype=np.int64)) % n]
-        acc = np.zeros(count, dtype=np.int64)
-        for j in range(int(c.size) - 1, -1, -1):
-            acc = self.add_arr(self.mul_arr(acc, pts), c[j])
-        return acc
+                out[lo:lo + step] = np.bitwise_xor.reduce(terms, axis=1)
+        add_mul_ops(int(count) * int(nz.size))
+        return out
 
     # ----- identity --------------------------------------------------------------
 

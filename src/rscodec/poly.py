@@ -5,6 +5,10 @@ elements with trailing zeros trimmed, so equal polynomials compare equal.
 The zero polynomial has an empty coefficient tuple and degree -infinity,
 which keeps the degree law deg(a*b) = deg(a) + deg(b) true without a
 special case.
+
+A product has one path at every size: in the log domain, one antilog
+lookup and one counted field multiplication per pair of nonzero
+coefficients.
 """
 
 from __future__ import annotations
@@ -15,10 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .gf import Field, add_mul_ops
-
-# Products with at most this many coefficient pairs use the scalar
-# schoolbook loop; larger ones go through numpy.
-_SCHOOLBOOK_LIMIT = 1024
 
 
 class Poly:
@@ -93,40 +93,28 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
-        if len(a) * len(b) <= _SCHOOLBOOK_LIMIT:
-            # Schoolbook in the log domain: x * y = alpha^(log x + log y),
-            # one lookup and one count per pair of nonzero coefficients.
-            exp2, log = f._exp2, f.log
-            b_logs = [(j, log[y]) for j, y in enumerate(b) if y]
-            prime, p = f.kind == "prime", f.p
-            out = [0] * (len(a) + len(b) - 1)
-            pairs = 0
-            for i, x in enumerate(a):
-                if x == 0:
-                    continue
-                pairs += len(b_logs)
-                lx = log[x]
-                if prime:
-                    for j, ly in b_logs:
-                        out[i + j] = (out[i + j] + exp2[lx + ly]) % p
-                else:
-                    for j, ly in b_logs:
-                        out[i + j] ^= exp2[lx + ly]
-            add_mul_ops(pairs)
-            return Poly(f, out)
-        if f.kind == "prime":
-            prod = np.convolve(np.asarray(a, dtype=np.int64),
-                               np.asarray(b, dtype=np.int64)) % f.p
-            add_mul_ops(len(a) * len(b))
-            return Poly(f, prod.tolist())
-        # Binary field: accumulate shifted scalings of the longer operand.
         if len(a) < len(b):
             a, b = b, a
-        acc = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+        # In the log domain: each nonzero b_i adds the copy of a's nonzero
+        # terms scaled by b_i, alpha^(log b_i + log a_j) at degree i + j,
+        # one product per nonzero pair.
         av = np.asarray(a, dtype=np.int64)
-        for j, y in enumerate(b):
+        idx = np.flatnonzero(av)
+        a_logs = f._log_np[av[idx]]
+        acc = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+        prime = f.kind == "prime"
+        nonzero_b = 0
+        for i, y in enumerate(b):
             if y:
-                acc[j:j + len(a)] ^= f.scale_arr(av, y)
+                nonzero_b += 1
+                terms = f._exp2_np[a_logs + f.log[y]]
+                if prime:
+                    acc[i + idx] += terms
+                else:
+                    acc[i + idx] ^= terms
+        if prime:
+            acc %= f.p
+        add_mul_ops(nonzero_b * idx.size)
         return Poly(f, acc.tolist())
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:

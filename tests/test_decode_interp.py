@@ -1,14 +1,11 @@
 """Interpolation-degree decoder: worked fixtures, failure paths, properties."""
 
-import itertools
-import math
 import random
 
 import numpy as np
 import pytest
 
 from rscodec import (
-    DECODERS,
     DecodeFailure,
     DecodeTrace,
     FeMat,
@@ -18,6 +15,7 @@ from rscodec import (
     RootCountMismatch,
     SingularLocatorSystem,
     TooManyErrors,
+    VerifyFailed,
     berlekamp_massey,
     decode,
     decode_via_positions,
@@ -26,10 +24,10 @@ from rscodec import (
     recover_codeword_polynomial,
     solve_locator,
 )
-from rscodec.decode_interp import _bm_scan, _error_positions_and_values
+from rscodec.decode_interp import _bm_scan, _error_positions_and_values, _rank_scan, _run
 from rscodec.oracle import brute_nearest
 
-from .util import corrupt, get_code, random_word
+from .util import ball_volume, corrupt, get_code, random_word, whole_space_accepted
 
 U = (4, 2, 1, 6, 3, 2)   # codeword of (5, 6) with error 2 at position 1
 W = (0, 2, 5, 6, 0, 6)   # codeword of (3, 4) with errors at positions 4, 5
@@ -338,6 +336,39 @@ def test_positions_root_count_mismatch():
     assert seen_fail > 0
 
 
+@pytest.mark.parametrize("q, k, kw", [
+    (7, 2, {"alpha": 5}),
+    (16, 6, {"reduction": 0x19, "alpha": 6}),
+])
+def test_verify_rejects_a_wrong_tail(q, k, kw):
+    # A tail whose answer is not a codeword, or is a codeword at a distance
+    # other than t, fails the final check and carries the count stage's trace.
+    code = get_code(q, k, **kw)
+    f = code.field
+    rng = random.Random(q)
+    cw = code.encode([rng.randrange(q) for _ in range(k)])
+    t = code.tau
+    u = corrupt(rng, code, cw, t)
+    not_codeword = (f.add(cw[0], 1),) + cw[1:]
+    sparse = (1,) + (0,) * (code.n - 1)
+    far = tuple(f.add(c, 1) for c in cw)  # cw plus the codeword (1, ..., 1)
+    cases = [
+        (not_codeword, "decoded word is not a codeword"),
+        (sparse, "decoded word is not a codeword"),
+        (far, f"decoded codeword is at distance {hamming(u, far)}, expected exactly {t}"),
+    ]
+    assert hamming(u, far) != t and code.is_codeword(far)
+    for stage, rank_checks in ((_rank_scan, t + 1), (_bm_scan, 0)):
+        for answer, message in cases:
+            def tail(code, word, synd, locator, trace):
+                return answer, None
+            with pytest.raises(VerifyFailed) as info:
+                _run(code, u, stage, tail)
+            assert str(info.value) == message
+            assert isinstance(info.value.trace, DecodeTrace)
+            assert info.value.trace.rank_checks == rank_checks
+
+
 # ----- properties ------------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q", [7, 11, 13, 17])
@@ -367,25 +398,10 @@ def test_whole_space_ball_volume(k, accepted):
     # Every word of GF(5)^4: all registered decoders accept the same words,
     # with the same codewords, and exactly q^k * sum_(i <= tau) C(n, i)(q-1)^i
     # of them, the words within tau of a codeword; every rejection is typed.
+    # scripts/whole_space.py runs the GF(7) spaces, too slow for this suite.
     code = get_code(5, k)
-    q, n, tau = code.field.q, code.n, code.tau
-    assert q ** k * sum(math.comb(n, i) * (q - 1) ** i for i in range(tau + 1)) == accepted
-    decoders = dict.fromkeys(DECODERS.values())
-    count = 0
-    for u in itertools.product(range(q), repeat=n):
-        outs = set()
-        for fn in decoders:
-            try:
-                out = fn(code, u)
-            except DecodeFailure as exc:
-                assert isinstance(exc.trace, DecodeTrace), (fn, u)
-                outs.add(None)
-            else:
-                assert hamming(u, out.codeword) == out.error_count <= tau
-                outs.add((out.codeword, out.message))
-        assert len(outs) == 1, u
-        count += None not in outs
-    assert count == accepted
+    assert ball_volume(code) == accepted
+    assert whole_space_accepted(code) == accepted
 
 
 def test_locator_factors_over_error_positions():

@@ -269,15 +269,22 @@ def test_eval_at_powers_matches_horner(q):
 
 
 def test_eval_at_powers_large_field_fallback_path():
-    # q - 1 > the power-matrix limit, so the Horner-across-points path runs.
+    # Large groups, where exponents (first + r) j + log c_j approach 2^32,
+    # and a GF(4096) call of count x nnz > _EVAL_BLOCK, so the points are
+    # taken in several row chunks, with first >= n and zero coefficients.
     from rscodec import Poly
-    f = get_field(65521)
     rng = random.Random(11)
-    coeffs = [rng.randrange(65521) for _ in range(30)]
-    p = Poly(f, coeffs)
-    got = f.eval_at_powers(coeffs, first=5, count=40)
-    want = [p(f.pow(f.alpha, 5 + i)) for i in range(40)]
-    assert got.tolist() == want
+    for q, size, first, count in ((65521, 30, 5, 40), (65536, 40, 70000, 40),
+                                  (65536, 65535, 65532, 3), (4096, 4095, 5000, 100)):
+        f = get_field(q)
+        coeffs = [rng.randrange(q) if rng.random() < 0.9 else 0 for _ in range(size)]
+        coeffs[-1] = rng.randrange(1, q)
+        if q == 4096:
+            assert count * sum(1 for c in coeffs if c) > gf._EVAL_BLOCK
+        p = Poly(f, coeffs)
+        got = f.eval_at_powers(coeffs, first=first, count=count)
+        want = [p(f.pow(f.alpha, (first + i) % (q - 1))) for i in range(count)]
+        assert got.tolist() == want
 
 
 def test_eval_at_powers_rejects_overlong_coefficients(f7):
@@ -351,6 +358,21 @@ def test_mul_counter_context_and_kernels(f7):
     with gf.MulOpCounter() as ctr:
         f7.eval_at_powers([1, 2, 3], first=0, count=6)
     assert ctr.count == 6 * 3
+    # one count per product formed: count x (nonzero coefficients), on every field
+    for f, coeffs, count in ((f7, [0, 2, 0, 0, 5], 6), (get_field(256), [0] * 9 + [7], 200),
+                             (get_field(65521), [3, 0, 0, 65520, 0, 1], 50)):
+        with gf.MulOpCounter() as ctr:
+            f.eval_at_powers(coeffs, first=2, count=count)
+        assert ctr.count == count * sum(1 for c in coeffs if c)
+    # a product counts nonzero pairs
+    from rscodec import Poly
+    for f in (f7, get_field(16), get_field(257)):
+        a = Poly(f, [1, 0, 0, 2, 0, 3])
+        b = Poly(f, [0, 4, 0, 0, 0, 0, 0, 0, 5] * 5)
+        for x, y in ((a, b), (b, a)):
+            with gf.MulOpCounter() as ctr:
+                x * y
+            assert ctr.count == 3 * 10
 
 
 def test_field_equality_and_hash():

@@ -202,13 +202,13 @@ def test_eval_is_ring_homomorphism(q):
 
 
 def test_numpy_mul_path_matches_schoolbook():
-    # Degrees large enough to cross the schoolbook size limit.
+    # Degree-80 products against a sum of scaled shifts.
     for q in (13, 256):
         f = get_field(q)
         rng = random.Random(q)
         a = random_poly(rng, f, 80)
         b = random_poly(rng, f, 80)
-        big = a * b  # numpy path
+        big = a * b
         acc = Poly.zero(f)
         for i, c in enumerate(a.coeffs):  # scalar route
             acc = acc + (b.scale(c)).shifted(i)
@@ -223,7 +223,7 @@ def test_roots_match_eval_sweep():
         (get_field(16, reduction=0x19, alpha=6), 12, 30, 4),
         (get_field(16, reduction=0x19, alpha=6), 35, 10, 2),
         (get_field(256), 16, 10, 8),
-        (get_field(4096), 16, 3, 8),          # past the power-matrix limit
+        (get_field(4096), 16, 3, 8),          # 4095 candidate points
     ]
     for f, max_degree, trials, planted in cases:
         for _ in range(trials):

@@ -8,9 +8,11 @@ tables) so fixture values are cross-checked, not copied.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
-from rscodec import Field, Poly, RSCode
+from rscodec import DECODERS, DecodeFailure, DecodeTrace, Field, Poly, RSCode, hamming
 
 _fields: dict = {}
 _codes: dict = {}
@@ -95,3 +97,36 @@ def corrupt(rng: random.Random, code: RSCode, codeword, t: int) -> tuple[int, ..
     for pos in positions:
         word[pos] = f.add(word[pos], rng.randrange(1, f.q))
     return tuple(word)
+
+
+def ball_volume(code: RSCode) -> int:
+    """q^k * sum_(i <= tau) C(n, i) (q-1)^i: the words within tau of a codeword."""
+    q, n = code.field.q, code.n
+    return q ** code.k * sum(math.comb(n, i) * (q - 1) ** i for i in range(code.tau + 1))
+
+
+def whole_space_accepted(code: RSCode) -> int:
+    """Decode every word of GF(q)^n with every registered decoder and count
+    the words accepted.
+
+    All decoders must accept the same words, with the same codewords and
+    messages, each within tau of the word; every rejection must be a typed
+    DecodeFailure carrying a DecodeTrace.
+    """
+    q, n, tau = code.field.q, code.n, code.tau
+    decoders = dict.fromkeys(DECODERS.values())
+    count = 0
+    for u in itertools.product(range(q), repeat=n):
+        outs = set()
+        for fn in decoders:
+            try:
+                out = fn(code, u)
+            except DecodeFailure as exc:
+                assert isinstance(exc.trace, DecodeTrace), (fn, u)
+                outs.add(None)
+            else:
+                assert hamming(u, out.codeword) == out.error_count <= tau
+                outs.add((out.codeword, out.message))
+        assert len(outs) == 1, u
+        count += None not in outs
+    return count

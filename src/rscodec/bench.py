@@ -33,7 +33,6 @@ from .rscode import RSCode
 # The one decoder registry, shared with the CLI's `decode` and `compare`.
 DECODERS = {
     "interp": decode,
-    "interp_positions": decode_via_positions,
     "interp-pos": decode_via_positions,
     "pgz": pgz_decode,
     "bm": bm_decode,

@@ -93,9 +93,9 @@ def _build_code(q: int, k: int, alpha: int | None, exit_code: int = EXIT_USAGE) 
         raise CliError(exit_code, str(exc)) from exc
 
 
-def _check_format(fmt: str, q: int) -> None:
+def _check_format(fmt: str, q: int, exit_code: int = EXIT_USAGE) -> None:
     if fmt == "bin" and q > 256:
-        raise CliError(EXIT_USAGE, f"bin format stores one byte per symbol, q={q} > 256")
+        raise CliError(exit_code, f"bin format stores one byte per symbol, q={q} > 256")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -146,7 +146,7 @@ def _read_stream(path: str, fmt: str) -> tuple[StreamHeader, RSCode, list[list[i
     raw = _read_bytes(path)
     header = StreamHeader.unpack(raw)
     code = _build_code(header.q, header.k, header.alpha, EXIT_DATA)
-    _check_format(fmt, header.q)
+    _check_format(fmt, header.q, EXIT_DATA)
     symbols = _parse_symbols(raw[StreamHeader.SIZE:], fmt, header.q, "stream body")
     n = code.n
     if len(symbols) % n:

@@ -1,8 +1,12 @@
 """Exact matrices over a finite field: rank, determinant, linear solve.
 
-Entries are canonical field elements held in int64 numpy arrays; all row
-reduction is exact field arithmetic (no floating point, no pivoting
-heuristics needed since any nonzero pivot is exact).  Solving reports its
+Entries are canonical field elements held in int64 numpy arrays, and the
+constructor validates them as `Field.asarray` does; all row reduction is
+exact field arithmetic (no floating point, no pivoting heuristics needed
+since any nonzero pivot is exact).  Each elimination step normalises the
+pivot row and clears the whole block below (or above) it with one
+broadcast `Field.mul_arr`, zero rows included, so a step counts one
+multiplication per product of two nonzero entries.  Solving reports its
 outcome as a value (unique / no solution / underdetermined) rather than
 by raising, because singular systems are an expected, meaningful result
 for the decoders built on top.
@@ -34,17 +38,6 @@ class SolveResult:
         return self.status is SolveStatus.UNIQUE
 
 
-def _outer_mul(f: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Outer product over the field; u is assumed free of zeros.
-    if f.kind == "prime":
-        out = u[:, None] * v[None, :] % f.p
-    else:
-        out = f._exp2_np[f._log_np[u][:, None] + f._log_np[v][None, :]]
-        out[:, v == 0] = 0
-    add_mul_ops(int(u.size) * int(v.size))
-    return out
-
-
 def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[tuple[int, int]], int]:
     """Row-reduce `a` in place, choosing pivots in the first `pivot_cols`
     columns only.  Pivot rows are normalized to leading 1 and cleared below.
@@ -68,13 +61,8 @@ def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[tuple[int
         piv = int(a[r, c])
         det = f.mul(det, piv)
         if piv != 1:
-            a[r, c:] = f.scale_arr(a[r, c:], f.inv(piv))
-        fac = a[r + 1:, c]
-        nzr = fac.nonzero()[0]
-        if nzr.size:
-            block = a[r + 1:, c:]
-            upd = _outer_mul(f, fac[nzr].copy(), a[r, c:])
-            block[nzr] = f.sub_arr(block[nzr], upd)
+            a[r, c:] = f.mul_arr(a[r, c:], f.inv(piv))
+        a[r + 1:, c:] = f.sub_arr(a[r + 1:, c:], f.mul_arr(a[r + 1:, c, None], a[r, c:]))
         pivots.append((r, c))
         r += 1
     return pivots, det
@@ -83,12 +71,7 @@ def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[tuple[int
 def _back_eliminate(f: Field, a: np.ndarray, pivots: list[tuple[int, int]]) -> None:
     # Clear entries above each (already normalized) pivot.
     for r, c in reversed(pivots):
-        fac = a[:r, c]
-        nzr = fac.nonzero()[0]
-        if nzr.size:
-            block = a[:r, c:]
-            upd = _outer_mul(f, fac[nzr].copy(), a[r, c:])
-            block[nzr] = f.sub_arr(block[nzr], upd)
+        a[:r, c:] = f.sub_arr(a[:r, c:], f.mul_arr(a[:r, c, None], a[r, c:]))
 
 
 class FeMat:
@@ -97,13 +80,12 @@ class FeMat:
     __slots__ = ("field", "_a")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[int]]):
-        arr = np.array([list(r) for r in rows], dtype=np.int64)
-        if arr.ndim == 1:  # zero rows, or rows of length zero
-            arr = arr.reshape(len(arr), 0)
-        if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-            raise ValueError(f"matrix entries must be elements of GF({field.q})")
+        rows = [list(r) for r in rows]
+        cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise ValueError("matrix rows must all have the same length")
         self.field = field
-        self._a = arr
+        self._a = field.asarray([x for r in rows for x in r]).reshape(len(rows), cols)
 
     @classmethod
     def _wrap(cls, field: Field, arr: np.ndarray) -> "FeMat":
@@ -194,7 +176,7 @@ class FeMat:
         a, b = self._a, other._a
         if f.kind == "prime":
             out = (a @ b) % f.p
-            add_mul_ops(a.shape[0] * a.shape[1] * b.shape[1])
+            add_mul_ops(int(np.count_nonzero(a, axis=0) @ np.count_nonzero(b, axis=1)))
         else:
             out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
             for i in range(a.shape[0]):

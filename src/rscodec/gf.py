@@ -17,9 +17,14 @@ group (q <= 2^16, so the tables are always small).  Beside the public
 antilog table `exp` (length q - 1) it keeps a private doubled copy,
 exp2[i] = alpha^i for 0 <= i < 2(q - 1), so a product or quotient is one
 lookup at a sum of two logs, log a + log b or log a - log b + (q - 1),
-with no reduction mod q - 1.  Scalar operations are plain Python ints;
-bulk operations are exact numpy integer kernels used by the matrix and
-codec layers.  All arithmetic is exact, never floating point.
+with no reduction mod q - 1.  The numpy copy of exp2 has a zero tail up
+to index 4(q - 1), and the numpy log table maps 0 to the sentinel
+2(q - 1), so exp2[log x + log y] is x * y for all x and y, zeros
+included: `mul_arr`, the one elementwise product kernel, is a single
+gather on both field kinds with no zero mask (at most 2 MiB for
+q = 2^16).  Scalar operations are plain Python ints; bulk operations are
+exact numpy integer kernels used by the matrix and codec layers.  All
+arithmetic is exact, never floating point.
 
 Element validation (`check` for one value, `asarray` for a sequence)
 accepts Python ints (bools included) and numpy integer scalars in
@@ -36,9 +41,12 @@ every field and no per-field table grows with q^2.
 The module keeps a global count of field multiplications (including
 inversions and divisions, and the element products performed inside bulk
 kernels) so callers can compare the multiplicative cost of algorithms.
-`eval_at_powers` counts one per product it forms, count x (nonzero
-coefficients), on every field; `mul_arr` and `scale_arr` count one per
-element.  The counter is a plain module global and is not thread safe.
+A product counts one when both factors are nonzero and nothing
+otherwise, whichever path forms it: `mul` after its zero check,
+`mul_arr` the nonzero entries of its result (in a field a product is
+nonzero exactly when both factors are), `eval_at_powers` count x
+(nonzero coefficients).  The counter is a plain module global and is not
+thread safe.
 """
 
 from __future__ import annotations
@@ -216,9 +224,12 @@ class Field:
         self.log = log
         self._exp2 = exp + exp
         self._exp_np = np.array(exp, dtype=np.uint16)  # every element is below 2^16
-        self._exp2_np = np.array(self._exp2, dtype=np.int64)
+        # log 0 is the sentinel 2n and exp2 is zero from index 2n on, so
+        # exp2[log x + log y] is x * y for every x and y, zeros included.
+        self._exp2_np = np.zeros(4 * n + 1, dtype=np.int64)
+        self._exp2_np[:2 * n] = self._exp2
         lg = np.array(log, dtype=np.int64)
-        lg[0] = 0  # never a valid log; callers mask zeros before gathering
+        lg[0] = 2 * n
         self._log_np = lg
 
     # ----- construction helpers -------------------------------------------------
@@ -284,12 +295,10 @@ class Field:
         return a
 
     def mul(self, a: int, b: int) -> int:
-        global _mul_ops
-        _mul_ops += 1
-        if self.kind == "prime":
-            return a * b % self.p
         if a == 0 or b == 0:
             return 0
+        global _mul_ops
+        _mul_ops += 1
         return self._exp2[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
@@ -375,31 +384,11 @@ class Field:
             return (-x) % self.p
         return x.copy()
 
-    def mul_arr(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.kind == "prime":
-            out = x * y % self.p
-            add_mul_ops(out.size)
-            return out
-        x, y = np.broadcast_arrays(x, y)
-        out = np.zeros(x.shape, dtype=np.int64)
-        nz = (x != 0) & (y != 0)
-        if nz.any():
-            out[nz] = self._exp2_np[self._log_np[x[nz]] + self._log_np[y[nz]]]
-        add_mul_ops(out.size)
-        return out
-
-    def scale_arr(self, x: np.ndarray, s: int) -> np.ndarray:
-        if s == 0:
-            return np.zeros_like(x)
-        if self.kind == "prime":
-            out = x * s % self.p
-            add_mul_ops(out.size)
-            return out
-        out = np.zeros_like(x)
-        nz = x != 0
-        if nz.any():
-            out[nz] = self._exp2_np[self._log_np[x[nz]] + self.log[s]]
-        add_mul_ops(out.size)
+    def mul_arr(self, x: np.ndarray | int, y: np.ndarray | int) -> np.ndarray:
+        """Elementwise product of x and y (arrays or single elements),
+        broadcast; one table gather, counted once per nonzero product."""
+        out = self._exp2_np[self._log_np[x] + self._log_np[y]]
+        add_mul_ops(int(np.count_nonzero(out)))
         return out
 
     def eval_at_powers(self, coeffs: Sequence[int], first: int = 0,

@@ -63,7 +63,7 @@ def _codebook(f: Field, k: int) -> np.ndarray:
     gen = code.generator_matrix()
     book = np.zeros((1, n), dtype=np.int64)
     for i in range(k):
-        scaled = np.stack([f.scale_arr(gen._a[i], s) for s in range(q)])
+        scaled = f.mul_arr(np.arange(q)[:, None], gen._a[i])
         book = f.add_arr(np.repeat(book, q, axis=0),
                          np.tile(scaled, (book.shape[0], 1)))
     book = book.astype(np.int32)

@@ -1,7 +1,8 @@
 """Dense univariate polynomials over a finite field.
 
 Coefficients are stored low degree first as a tuple of canonical field
-elements with trailing zeros trimmed, so equal polynomials compare equal.
+elements with trailing zeros trimmed, so equal polynomials compare equal;
+the constructor accepts exactly the coefficients `Field.check` accepts.
 The zero polynomial has an empty coefficient tuple and degree -infinity,
 which keeps the degree law deg(a*b) = deg(a) + deg(b) true without a
 special case.
@@ -25,11 +26,18 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Sequence[int] = ()):
+        # Plain ints are range-checked in one pass; anything else goes
+        # through `check`, which names the first value it rejects.
+        if (set(map(type, coeffs)) <= {int} and min(coeffs, default=0) >= 0
+                and max(coeffs, default=0) < field.q):
+            coeffs = tuple(coeffs)
+        else:
+            coeffs = tuple(map(field.check, coeffs))
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
         self.field = field
-        self.coeffs = tuple(map(int, coeffs[:end]))
+        self.coeffs = coeffs[:end]
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":

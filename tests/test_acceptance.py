@@ -257,7 +257,7 @@ def test_c7_cli_end_to_end(tmp_path, capsys):
 
         compare_args = ["compare", "--q", "13", "--k", "4", "--trials", "25",
                         "--seed", "2", "--decoders",
-                        "interp,interp_positions,pgz"]
+                        "interp,interp-pos,pgz"]
         assert main(compare_args) == EXIT_OK
         first = capsys.readouterr().out
         assert main(compare_args) == EXIT_OK

@@ -77,7 +77,7 @@ def test_mul_counts_positive_and_ordered():
 def test_report_deterministic():
     cfg = TrialConfig(code=get_code(13, 3), t_values=(0, 1, 2, 3, 4, 5),
                       trials_per_t=30, seed=77,
-                      decoders=("interp", "interp_positions", "pgz"))
+                      decoders=("interp", "interp-pos", "pgz"))
     a = report_to_json(run_sweep(cfg))
     b = report_to_json(run_sweep(cfg))
     assert a == b

@@ -1,6 +1,8 @@
 """End-to-end command line tests driven through main()."""
 
 import json
+import random
+import struct
 import subprocess
 import sys
 
@@ -200,9 +202,9 @@ def test_compare_deterministic(tmp_path, capsys):
 def test_compare_decoder_subset(capsys):
     assert main(["compare", "--q", "7", "--k", "2", "--alpha", "5",
                  "--t-values", "1", "--trials", "5", "--seed", "0",
-                 "--decoders", "interp_positions"]) == EXIT_OK
+                 "--decoders", "interp-pos"]) == EXIT_OK
     recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["decoder"] for r in recs] == ["interp_positions"]
+    assert [r["decoder"] for r in recs] == ["interp-pos"]
     assert recs[0]["successes"] == 5
 
 
@@ -259,7 +261,71 @@ def test_data_errors(tmp_path, capsys):
     for q, k, alpha in ((6, 2, 0), (7, 9, 3), (7, 2, 2), (2**20, 4, 0)):
         stream.write_bytes(StreamHeader(q, k, alpha, 0).pack())
         assert run("decode", stream, out) == EXIT_DATA
+    # a header naming a valid code with q > 256 cannot head a bin stream
+    stream.write_bytes(StreamHeader(257, 2, 3, 0).pack())
+    assert run("decode", "--format", "bin", stream, out) == EXIT_DATA
     capsys.readouterr()
+
+
+# Header layout: magic, version u8, q u32, k u32, alpha u32, payload_len u64;
+# edge values by field index: version, q, k, alpha, payload_len.
+_HEADER = struct.Struct("<4sBIIIQ")
+_EDGE_FIELDS = {
+    1: (0, 2, 255),
+    2: (0, 1, 2, 4, 6, 8, 256, 257, 65521, 65536, 2**32 - 1),
+    3: (0, 1, 5, 6, 7, 2**32 - 1),
+    4: (0, 1, 6, 7, 2**32 - 1),
+    5: (0, 1, 7, 9, 2**40, 2**64 - 1),
+}
+
+
+def _mutations(rng, stream, fmt):
+    # Random header bytes, each header field at its edge values,
+    # truncations, random body bytes and appended bytes.
+    size = StreamHeader.SIZE
+    fields = _HEADER.unpack(stream[:size])
+    symbols = b"0123456 \n" if fmt == "text" else bytes(range(7))
+    for i, values in _EDGE_FIELDS.items():
+        for v in values:
+            yield _HEADER.pack(*fields[:i], v, *fields[i + 1:]) + stream[size:]
+    for _ in range(60):
+        data = bytearray(stream)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(size)] = rng.randrange(256)
+        yield bytes(data)
+    for _ in range(40):
+        yield stream[:rng.randrange(len(stream))]
+    for _ in range(100):
+        data = bytearray(stream)
+        alphabet = symbols if rng.random() < 0.5 else bytes(range(256))
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(size, len(data))] = rng.choice(alphabet)
+        yield bytes(data)
+    for _ in range(20):
+        yield stream + bytes(rng.choice(symbols) for _ in range(rng.randint(1, 12)))
+
+
+@pytest.mark.parametrize("fmt", ["text", "bin"])
+def test_malformed_streams_exit_cleanly(tmp_path, capsys, fmt):
+    # About 250 seeded mutations of a GF(7) stream per format: each one
+    # decodes (exit 0) or is rejected as malformed data (exit 3) by every
+    # decoder, never with an uncaught exception.
+    payload, stream, out = tmp_path / "p", tmp_path / "s", tmp_path / "o"
+    symbols = [3, 1, 4, 1, 5, 0, 2, 6]
+    payload.write_bytes(bytes(symbols) if fmt == "bin" else " ".join(map(str, symbols)).encode())
+    assert run("encode", "--q", 7, "--k", 2, "--alpha", 5, "--format", fmt, payload, stream) == EXIT_OK
+    rng = random.Random(20261018 + (fmt == "bin"))
+    cases = list(_mutations(rng, stream.read_bytes(), fmt))
+    assert len(cases) > 240
+    exits = set()
+    for data in cases:
+        stream.write_bytes(data)
+        for name in ("bm", "interp", "pgz"):
+            code = run("decode", "--decoder", name, "--format", fmt, stream, out)
+            assert code in (EXIT_OK, EXIT_DATA), (name, data)
+            exits.add(code)
+    assert exits == {EXIT_OK, EXIT_DATA}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from rscodec import FeMat, SolveStatus, vandermonde
@@ -22,10 +23,16 @@ def test_shape_and_entries(f7):
 
 
 def test_entry_validation(f7):
+    # entries are validated as `Field.check` validates them: never cast,
+    # truncated or wrapped
+    for rows in ([[0, 7]], [[-1]], [[1.5, 2]], [["3", 2]], [[-0.5, 1]], [[2 ** 70, 1]],
+                 [[2.0, 1]], [[1, None]]):
+        with pytest.raises(ValueError, match=r"is not an element of GF\(7\)"):
+            FeMat(f7, rows)
     with pytest.raises(ValueError):
-        FeMat(f7, [[0, 7]])
-    with pytest.raises(ValueError):
-        FeMat(f7, [[-1]])
+        FeMat(f7, [[1, 2], [3]])  # ragged
+    m = FeMat(f7, [[True, np.uint8(6)], [np.int64(2), 0]])
+    assert m.to_lists() == [[1, 6], [2, 0]]
 
 
 def test_empty_shapes(f7):

@@ -11,6 +11,7 @@ from rscodec import gf
 from .util import get_field, slow_gf2m_mul
 
 SMALL_Q = (3, 4, 5, 7, 8)
+GF16_0X19 = {"reduction": 0x19, "alpha": 6}  # a non-default binary field
 ALL_SUPPORTED_LE_256 = sorted(
     [q for q in range(3, 257) if gf._is_prime(q)]
     + [4, 8, 16, 32, 64, 128, 256])
@@ -237,19 +238,27 @@ def test_gf16_full_mul_table_matches_oracle():
 
 # ----- bulk kernels -------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [7, 17, 256, 65521, 65536])
+@pytest.mark.parametrize("q", [7, 17, 16, 256, 65521, 65536])
 def test_array_kernels_match_scalar_ops(q):
-    f = get_field(q)
+    f = get_field(q, **GF16_0X19 if q == 16 else {})
     rng = random.Random(q)
     x = np.array([rng.randrange(q) for _ in range(64)], dtype=np.int64)
     y = np.array([rng.randrange(q) for _ in range(64)], dtype=np.int64)
-    s = rng.randrange(q)
+    x[:4] = 0  # forced zeros: 0 * 0, 0 * y and x * 0
+    y[2:6] = 0
+    s = rng.randrange(1, q)
     assert f.add_arr(x, y).tolist() == [f.add(a, b) for a, b in zip(x, y)]
     assert f.sub_arr(x, y).tolist() == [f.sub(a, b) for a, b in zip(x, y)]
     assert f.neg_arr(x).tolist() == [f.neg(a) for a in x]
     assert f.mul_arr(x, y).tolist() == [f.mul(a, b) for a, b in zip(x, y)]
-    assert f.scale_arr(x, s).tolist() == [f.mul(a, s) for a in x]
-    assert f.scale_arr(x, 0).tolist() == [0] * 64
+    assert f.mul_arr(x, s).tolist() == [f.mul(a, s) for a in x]
+    assert f.mul_arr(x, 0).tolist() == [0] * 64
+    assert f.mul_arr(0, x).tolist() == [0] * 64
+    # broadcasting: a column against a row is the full product table
+    u, v = x[:9], y[:7]
+    assert f.mul_arr(u[:, None], v).tolist() == [[f.mul(a, b) for b in v] for a in u]
+    assert f.mul_arr(u[:, None], v[None, :]).shape == (9, 7)
+    assert f.mul_arr(x[:0], y[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("q", [7, 13, 256])
@@ -354,7 +363,7 @@ def test_mul_counter_scalar(f7):
 def test_mul_counter_context_and_kernels(f7):
     with gf.MulOpCounter() as ctr:
         f7.mul_arr(np.arange(6, dtype=np.int64), np.arange(6, dtype=np.int64))
-    assert ctr.count == 6
+    assert ctr.count == 5  # 0 * 0 is not a product of two nonzero elements
     with gf.MulOpCounter() as ctr:
         f7.eval_at_powers([1, 2, 3], first=0, count=6)
     assert ctr.count == 6 * 3
@@ -365,7 +374,7 @@ def test_mul_counter_context_and_kernels(f7):
             f.eval_at_powers(coeffs, first=2, count=count)
         assert ctr.count == count * sum(1 for c in coeffs if c)
     # a product counts nonzero pairs
-    from rscodec import Poly
+    from rscodec import FeMat, Poly
     for f in (f7, get_field(16), get_field(257)):
         a = Poly(f, [1, 0, 0, 2, 0, 3])
         b = Poly(f, [0, 4, 0, 0, 0, 0, 0, 0, 5] * 5)
@@ -373,6 +382,40 @@ def test_mul_counter_context_and_kernels(f7):
             with gf.MulOpCounter() as ctr:
                 x * y
             assert ctr.count == 3 * 10
+    # every other product kernel, and the scalar mul, on prime and binary
+    # fields: one per product of two nonzero elements, a zero factor is free
+    rng = random.Random(5)
+    for f in (f7, get_field(257), get_field(16, **GF16_0X19), get_field(256)):
+
+        def sparse(size):
+            return [rng.randrange(1, f.q) if rng.random() < 0.6 else 0 for _ in range(size)]
+
+        for a, b in ((0, 0), (0, 3), (3, 0), (3, 4)):
+            with gf.MulOpCounter() as ctr:
+                f.mul(a, b)
+            assert ctr.count == (a != 0 and b != 0)
+        x, y = np.array(sparse(40)), np.array(sparse(40))
+        with gf.MulOpCounter() as ctr:
+            f.mul_arr(x[:, None], y)
+        assert ctr.count == np.count_nonzero(x) * np.count_nonzero(y)
+        a = [sparse(5) for _ in range(4)]
+        b = [sparse(3) for _ in range(5)]
+        with gf.MulOpCounter() as ctr:
+            FeMat(f, a) @ FeMat(f, b)
+        assert ctr.count == sum(1 for i in range(4) for j in range(5) for c in range(3)
+                                if a[i][j] and b[j][c])
+        p = Poly(f, sparse(12) + [1])
+        for pt in (0, 1, 2):
+            want, acc = 0, 0
+            for c in reversed(p.coeffs):  # Horner: acc * pt is a product iff both are nonzero
+                want += acc != 0 and pt != 0
+                acc = f.add(f.mul(acc, pt), c)
+            with gf.MulOpCounter() as ctr:
+                assert p(pt) == acc
+            assert ctr.count == want
+        with gf.MulOpCounter() as ctr:
+            p.scale(2)
+        assert ctr.count == sum(1 for c in p.coeffs if c)
 
 
 def test_field_equality_and_hash():

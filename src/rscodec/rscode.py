@@ -86,8 +86,18 @@ class RSCode:
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Evaluate the message polynomial at alpha^0, ..., alpha^(n-1)."""
-        vals = self.field.eval_at_powers(self._message_array(message), first=0, count=self.n)
-        return tuple(vals.tolist())
+        return tuple(self.encode_blocks(self._message_array(message)[None])[0].tolist())
+
+    def encode_blocks(self, messages: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+        """Encode B messages, the rows of a (B, k) array, into a (B, n) array."""
+        if isinstance(messages, np.ndarray):
+            if messages.ndim != 2 or messages.shape[1] != self.k:
+                raise ValueError(f"messages shape {messages.shape} is not (B, k = {self.k})")
+            msgs = self.field.asarray(messages)
+        else:
+            msgs = np.array([self._message_array(m) for m in messages],
+                            dtype=np.int64).reshape(-1, self.k)
+        return self.field.eval_at_powers(msgs, first=0, count=self.n)
 
     def word_evaluations(self, word: Sequence[int]) -> np.ndarray:
         """u(alpha^1), ..., u(alpha^n) for the word's polynomial u.

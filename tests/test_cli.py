@@ -79,6 +79,37 @@ def test_encode_default_alpha_recorded(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["text", "bin"])
+def test_encode_batches_match_block_encodes(tmp_path, fmt):
+    # 41 messages of RS(255, 223) are encoded a few blocks per call; the
+    # stream is the blocks of one-message encodes, the last one zero-padded.
+    payload, stream = tmp_path / "p", tmp_path / "s"
+    code = RSCode(Field(256), 223)
+    rng = random.Random(41)
+    symbols = [rng.randrange(256) for _ in range(40 * 223 + 100)]
+    payload.write_bytes(bytes(symbols) if fmt == "bin" else " ".join(map(str, symbols)).encode())
+    assert run("encode", "--q", 256, "--k", 223, "--format", fmt, payload, stream) == EXIT_OK
+    padded = symbols + [0] * 123
+    blocks = [code.encode(padded[i:i + 223]) for i in range(0, len(padded), 223)]
+    body = b"".join(bytes(b) for b in blocks) if fmt == "bin" else \
+        "".join(" ".join(map(str, b)) + "\n" for b in blocks).encode()
+    assert stream.read_bytes() == StreamHeader(256, 223, 2, len(symbols)).pack() + body
+
+
+def test_parser_built_once_and_reused(tmp_path):
+    from rscodec import cli
+    assert cli._parser() is cli._parser()
+    payload, stream, out = tmp_path / "p", tmp_path / "s", tmp_path / "o"
+    payload.write_text("1 2 3")
+    # options of one call do not carry over to the next
+    assert run("encode", "--q", 7, "--k", 2, "--alpha", 5, payload, stream) == EXIT_OK
+    assert run("encode", "--q", 7, "--k", 2, payload, stream) == EXIT_OK
+    assert StreamHeader.unpack(stream.read_bytes()).alpha == 3
+    assert run("decode", "--decoder", "pgz", stream, out) == EXIT_OK
+    assert run("decode", stream, out) == EXIT_OK
+    assert out.read_text() == "1 2 3\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "bin"])
 def test_roundtrip_with_corruption(tmp_path, fmt):
     payload = tmp_path / "p"
     stream = tmp_path / "s"

@@ -8,7 +8,7 @@ import pytest
 from rscodec import Field, find_primitive
 from rscodec import gf
 
-from .util import get_field, slow_gf2m_mul
+from .util import get_code, get_field, slow_gf2m_mul
 
 SMALL_Q = (3, 4, 5, 7, 8)
 GF16_0X19 = {"reduction": 0x19, "alpha": 6}  # a non-default binary field
@@ -215,6 +215,25 @@ def test_tables_are_inverse_bijections(q):
         assert f.exp[f.log[x]] == x
 
 
+@pytest.mark.parametrize("q, kw", [
+    (7, {}), (7, {"alpha": 5}), (16, GF16_0X19), (256, {}), (4096, {"alpha": 2}),
+    (4096, {"alpha": 3}), (65521, {}), (65536, {"alpha": 2}), (65536, {"alpha": 3})])
+def test_tables_match_scalar_walk(q, kw):
+    # The tables, built by doubling with array products, against the walk
+    # 1, alpha, alpha^2, ... by the scalar table-free product.
+    f = get_field(q, **kw)
+    exp, acc = [], 1
+    for _ in range(q - 1):
+        exp.append(acc)
+        acc = f._mul_slow(acc, f.alpha)
+    assert acc == 1 and f.exp == exp
+    log = [-1] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    assert f.log == log
+    assert f._log_np[1:].tolist() == log[1:] and f._log_np[0] == 2 * (q - 1)
+
+
 def test_gf256_exhaustive_inverse_roundtrip():
     f = get_field(256)
     for x in range(1, 256):
@@ -296,6 +315,114 @@ def test_eval_at_powers_large_field_fallback_path():
         assert got.tolist() == want
 
 
+# Fields whose group order n = q - 1 splits into coprime factors, so
+# `eval_at_powers` has the prime-factor transform as its second path.
+TRANSFORM_FIELDS = [(16, GF16_0X19), (64, {}), (256, {}), (4096, {}), (65521, {}), (65536, {})]
+
+
+@pytest.mark.parametrize("q, kw", TRANSFORM_FIELDS, ids=[str(q) for q, _ in TRANSFORM_FIELDS])
+def test_transform_matches_direct_sum(q, kw):
+    f = get_field(q, **kw)
+    n = q - 1
+    plan = f._transform_plan()
+    assert plan and plan.cost == n * sum(size for size, _ in plan.axes)
+    rng = np.random.default_rng(q)
+    # On the largest fields the direct sum of a whole orbit is too slow, so
+    # both paths are compared on a slice of the points.
+    full = min(n, 100)
+
+    def direct(row, first, count):
+        out = np.zeros(count, dtype=np.int64)
+        f._eval_direct(row, first, out)
+        return out
+
+    for width, first, count in ((n, 0, full), (n, n + 3, full), (n // 2, 1, 3), (7, n - 1, full),
+                                (1, 3 * n + 2, full), (n, n, full), (n, 5, 0)):
+        rows = rng.integers(0, q, size=(3, width))
+        rows[0] = 0  # zero polynomial
+        rows[1, rng.random(width) < 0.8] = 0  # sparse
+        got = f._eval_transform(plan, rows, first, count)
+        assert got.shape == (3, count)
+        for row, values in zip(rows, got):
+            assert values.tolist() == direct(row, first, count).tolist()
+    # A batch evaluates its rows independently, whichever path it takes.
+    rows = rng.integers(0, q, size=(4, n))
+    rows[2] = 0
+    batch = f.eval_at_powers(rows, first=2, count=full)
+    assert batch.shape == (4, full)
+    for row, values in zip(rows, batch):
+        assert values.tolist() == f.eval_at_powers(row, first=2, count=full).tolist()
+    assert f.eval_at_powers(rows[:0], first=2, count=full).shape == (0, full)
+
+
+def test_transform_counts_products_it_forms():
+    f = get_field(256)
+    plan = f._transform_plan()
+    sizes = [size for size, _ in plan.axes]
+    assert sizes == [17, 5, 3]
+    # One nonzero coefficient: the first pass forms 17 products, each of
+    # them nonzero, the second 17 x 5 and the third 17 x 5 x 3; a nonzero
+    # `first` adds one for scaling the coefficient.  Zeros form none.
+    one = np.zeros((1, 200), dtype=np.int64)
+    one[0, 57] = 9
+    for first, want in ((0, 17 + 85 + 255), (4, 1 + 17 + 85 + 255)):
+        with gf.MulOpCounter() as ctr:
+            f._eval_transform(plan, one, first, 255)
+        assert ctr.count == want
+    with gf.MulOpCounter() as ctr:
+        f._eval_transform(plan, one * 0, 4, 255)
+    assert ctr.count == 0
+    # Through `eval_at_powers`, the transform never counts more than the
+    # count x nnz products of the direct sum it replaces.
+    rng = np.random.default_rng(3)
+    for count, width, first in ((255, 223, 0), (223, 255, 33), (200, 100, 1), (255, 255, 1)):
+        rows = rng.integers(0, 256, size=(2, width))
+        with gf.MulOpCounter() as ctr:
+            f.eval_at_powers(rows, first=first, count=count)
+        nnz = np.count_nonzero(rows)
+        assert ctr.count <= min(count * nnz, 2 * (plan.cost + width))
+
+
+def test_evaluation_path_rule():
+    code = get_code(256, 223)
+    rng = random.Random(4)
+    msg = [rng.randrange(256) for _ in range(223)]
+    # An encode (255 points of 223 coefficients) takes the transform...
+    with gf.MulOpCounter() as ctr:
+        cw = code.encode(msg)
+    assert ctr.count <= 255 * 25
+    # ...the 32 syndromes of a dense word keep the direct sum.
+    word = list(cw)
+    word[0] ^= 1
+    word[1] = 0
+    with gf.MulOpCounter() as ctr:
+        code.syndromes(word)
+    assert ctr.count == 32 * sum(1 for c in word if c)
+    # Fields whose group order is a prime power have no transform: every
+    # evaluation is the direct sum, counting count x nnz.
+    for q in (8, 17, 257, 8192):
+        f = get_field(q)
+        assert f._transform_plan() is None
+        coeffs = [rng.randrange(1, q) for _ in range(min(q - 1, 600))]
+        with gf.MulOpCounter() as ctr:
+            f.eval_at_powers(coeffs, first=1)
+        assert ctr.count == (q - 1) * len(coeffs)
+
+
+def test_transform_memory_is_bounded():
+    import tracemalloc
+    f = get_field(65536)
+    f._transform_plan()
+    coeffs = np.random.default_rng(1).integers(0, 65536, size=65535)
+    tracemalloc.start()
+    try:
+        f.eval_at_powers(coeffs, first=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_eval_at_powers_rejects_overlong_coefficients(f7):
     with pytest.raises(ValueError):
         f7.eval_at_powers([1] * 7, first=0, count=6)
@@ -357,6 +484,9 @@ def test_mul_counter_scalar(f7):
     f7.inv(3)
     f7.div(4, 2)
     f7.pow(5, 4)
+    assert gf.mul_ops_total() == before + 4
+    # neither forms a product of two nonzero elements
+    assert f7.div(0, 3) == 0 and f7.pow(5, 0) == 1 and f7.pow(0, 0) == 1
     assert gf.mul_ops_total() == before + 4
 
 

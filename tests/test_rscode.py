@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from rscodec import FeMat, Poly, RSCode, vandermonde
+from rscodec import FeMat, Poly, RSCode, bm_decode, gf, vandermonde
 
 from .util import get_code, get_field, lagrange_product, random_word
 
@@ -90,6 +91,44 @@ def test_encode_validation(rs72):
         rs72.encode((1,))
     with pytest.raises(ValueError):
         rs72.encode((1, 7))
+    for bad in ([(1, 1), (1,)], [(1, 7)], np.zeros((2, 3), dtype=np.int64),
+                np.zeros(2, dtype=np.int64), np.array([[1, 7]]), np.array([[1.0, 2.0]])):
+        with pytest.raises(ValueError):
+            rs72.encode_blocks(bad)
+
+
+@pytest.mark.parametrize("q, k", [(7, 2), (16, 9), (256, 223), (257, 200)])
+def test_encode_blocks_rows_are_encodes(q, k):
+    code = get_code(q, k)
+    rng = random.Random(q)
+    messages = [[rng.randrange(q) for _ in range(k)] for _ in range(5)]
+    messages[1] = [0] * k
+    want = [list(code.encode(m)) for m in messages]
+    assert code.encode_blocks(messages).tolist() == want
+    assert code.encode_blocks(np.array(messages)).tolist() == want
+    assert code.encode_blocks(np.array(messages, dtype=np.uint8 if q <= 256 else np.int32)
+                              ).tolist() == want
+    assert code.encode_blocks(np.zeros((0, k), dtype=np.int64)).shape == (0, code.n)
+
+
+def test_large_field_block_costs():
+    # RS(4095, 4063): an encode and the message of a decode at t = 16 are
+    # prime-factor transforms over 4095 = 9 * 5 * 7 * 13, with n * 34
+    # products each, not the direct sum's 4095 x 4063.
+    code = get_code(4096, 4063)
+    rng = random.Random(12)
+    msg = [rng.randrange(4096) for _ in range(code.k)]
+    with gf.MulOpCounter() as ctr:
+        word = list(code.encode(msg))
+    assert ctr.count <= 4095 * 34
+    assert code.is_codeword(word)
+    for pos in rng.sample(range(code.n), 16):
+        word[pos] ^= rng.randrange(1, 4096)
+    with gf.MulOpCounter() as ctr:
+        outcome = bm_decode(code, word)
+        assert list(outcome.message) == msg
+    assert outcome.error_count == 16
+    assert ctr.count <= 400_000
 
 
 def test_encode_matches_generator_matrix_row_combination(rs72):

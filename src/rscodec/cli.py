@@ -13,10 +13,10 @@ header is binary in both cases, so every command that reads a stream
 takes --format to know how to read the body.
 
 Payloads are sequences of symbols in [0, q): in text format whitespace-
-separated integers, in bin format raw bytes.  The payload is chunked into
-k-symbol messages (the final chunk zero-padded) and each message is
-encoded into an n-symbol block; payload_len records how many symbols of
-the decoded stream are real.
+separated runs of ASCII digits, in bin format raw bytes.  The payload is
+chunked into k-symbol messages (the final chunk zero-padded) and each
+message is encoded into an n-symbol block; payload_len records how many
+symbols of the decoded stream are real.
 
 Exit codes: 0 success; 2 invalid parameters or usage; 3 malformed input
 data; 4 at least one uncorrectable block under --strict.  Without
@@ -132,10 +132,9 @@ def _parse_symbols(data: bytes, fmt: str, q: int, what: str) -> np.ndarray:
         return symbols
     symbols = []
     for tok in data.split():
-        try:
-            symbols.append(int(tok))
-        except ValueError as exc:
-            raise CliError(EXIT_DATA, f"{what}: non-integer token {tok!r}") from exc
+        if not tok.isdigit():  # ASCII digits only, no sign, "_" or other spelling
+            raise CliError(EXIT_DATA, f"{what}: non-integer token {tok!r}")
+        symbols.append(int(tok))
     for s in symbols:
         if not 0 <= s < q:
             raise CliError(EXIT_DATA, f"{what}: symbol {s} outside [0, {q})")
@@ -148,15 +147,14 @@ def _render_payload(symbols: Sequence[int], fmt: str) -> bytes:
     return (" ".join(str(s) for s in symbols) + "\n").encode() if symbols else b""
 
 
-def _render_blocks(blocks: Sequence[Sequence[int]] | np.ndarray, fmt: str) -> bytes:
+def _render_blocks(blocks: np.ndarray, fmt: str) -> bytes:
     if fmt == "bin":
-        return np.asarray(blocks, dtype=np.uint8).tobytes()
-    if isinstance(blocks, np.ndarray):
-        blocks = blocks.tolist()
-    return "".join(" ".join(str(s) for s in b) + "\n" for b in blocks).encode()
+        return blocks.astype(np.uint8).tobytes()
+    return "".join(" ".join(map(str, b)) + "\n" for b in blocks.tolist()).encode()
 
 
-def _read_stream(path: str, fmt: str) -> tuple[StreamHeader, RSCode, list[list[int]]]:
+def _read_stream(path: str, fmt: str) -> tuple[StreamHeader, RSCode, np.ndarray]:
+    """The header, its code and the body as a validated (blocks, n) int64 array."""
     raw = _read_bytes(path)
     header = StreamHeader.unpack(raw)
     code = _build_code(header.q, header.k, header.alpha, EXIT_DATA)
@@ -166,7 +164,7 @@ def _read_stream(path: str, fmt: str) -> tuple[StreamHeader, RSCode, list[list[i
     if len(symbols) % n:
         raise CliError(EXIT_DATA,
                        f"stream body holds {len(symbols)} symbols, not a multiple of n = {n}")
-    blocks = symbols.reshape(-1, n).tolist()
+    blocks = symbols.astype(np.int64, copy=False).reshape(-1, n)
     need = -(-header.payload_len // code.k) if header.payload_len else 0
     if len(blocks) != need:
         raise CliError(EXIT_DATA,
@@ -196,12 +194,10 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE,
                        f"--errors must be in [0, {code.n - 1}] for n = {code.n}")
     rng = random.Random(args.seed)
-    f = code.field
-    out_blocks = []
-    for block in blocks:
-        err = random_error(rng, code, args.errors)
-        out_blocks.append([f.add(s, e) for s, e in zip(block, err)])
-    _write_bytes(args.output, header.pack() + _render_blocks(out_blocks, args.format))
+    errors = np.array([random_error(rng, code, args.errors) for _ in blocks],
+                      dtype=np.int64).reshape(blocks.shape)
+    out = code.field.add_arr(blocks, errors)
+    _write_bytes(args.output, header.pack() + _render_blocks(out, args.format))
     return EXIT_OK
 
 
@@ -212,29 +208,26 @@ def cmd_decode(args: argparse.Namespace) -> int:
     symbols: list[int] = []
     any_failed = False
     for i, block in enumerate(blocks):
-        mul_start = gf.mul_ops_total()
+        mul_start = gf.mul_ops_total() if args.stats else 0
         try:
             outcome = decoder(code, block)
         except DecodeFailure as exc:
             any_failed = True
-            trace = exc.trace
-            status = exc.reason
-            t: int | None = None
             # Best effort: keep the low-degree interpolation coefficients.
             symbols.extend(code.low_coefficients(block))
+            trace, status, t = exc.trace, exc.reason, None
         else:
-            trace = outcome.trace
-            status = "ok"
-            t = outcome.error_count
             symbols.extend(outcome.message)
-        stats_lines.append(json.dumps({
-            "block": i,
-            "status": status,
-            "t": t,
-            "rank_checks": trace.rank_checks,
-            "det_checks": trace.det_checks,
-            "mul_count": gf.mul_ops_total() - mul_start,
-        }))
+            trace, status, t = outcome.trace, "ok", outcome.error_count
+        if args.stats:
+            stats_lines.append(json.dumps({
+                "block": i,
+                "status": status,
+                "t": t,
+                "rank_checks": trace.rank_checks,
+                "det_checks": trace.det_checks,
+                "mul_count": gf.mul_ops_total() - mul_start,
+            }))
     if args.stats:
         _write_bytes(args.stats, ("".join(line + "\n" for line in stats_lines)).encode())
     payload = symbols[:header.payload_len]

@@ -1,13 +1,15 @@
 """The decoder pipeline: a count stage, then a tail stage.
 
 Write the received word as u = c + e with c a codeword and e of Hamming
-weight t.  Every decoder runs one flow on the n - k syndromes
-s_r = u(alpha^(r+1)):
+weight t.  `_run` validates the word once, into an int64 array
+(`RSCode._word_array`); every later stage works on that array, and the
+outcome's tuples are made once, at the end.  Every decoder runs one flow
+on the n - k syndromes s_r = u(alpha^(r+1)):
 
 1. count stage: find t <= tau and the monic error locator lambda, whose
    roots are alpha^i for the error positions i, or raise TooManyErrors or
    SingularLocatorSystem; t = 0 returns at once;
-2. tail stage: turn the word and the locator into a codeword;
+2. tail stage: turn the word array and the locator into a codeword array;
 3. verify codeword membership (the error word - codeword has the word's
    syndromes) and distance exactly t.
 
@@ -38,7 +40,7 @@ alpha^0, ..., alpha^(n-1).  Positions (`_error_positions_and_values`)
 reads the error positions off the locator's roots (a Chien search) and
 takes the error values from Forney's formula, which gives the solution of
 the t x t value system without solving it; it never interpolates the
-whole word.
+whole word.  Both tails take the word array and return a codeword array.
 
 The decoders are the pairs `decode` (rank scan, recover),
 `decode_via_positions` (rank scan, positions), `pgz_decode`
@@ -94,7 +96,7 @@ class DecodeOutcome:
     `message` is the k message symbols of `codeword`, the coefficients of
     its polynomial of degree < k.  The recover tail holds that polynomial
     already; otherwise the message is computed on first access, from k
-    evaluations of the codeword (`RSCode.low_coefficients`).
+    evaluations of the decoder's codeword array (`RSCode.low_coefficients`).
     """
 
     codeword: tuple[int, ...]
@@ -104,11 +106,12 @@ class DecodeOutcome:
     trace: DecodeTrace
     _code: RSCode | None = field(default=None, repr=False, compare=False)
     _message: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    _codeword: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def message(self) -> tuple[int, ...]:
         if self._message is None:
-            self._message = self._code.low_coefficients(self.codeword)
+            self._message = self._code.low_coefficients(self._codeword)
         return self._message
 
 
@@ -128,11 +131,13 @@ def bm_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
 
 
 def _run(code: RSCode, word: Sequence[int], count_stage, tail) -> DecodeOutcome:
-    word = code.check_word(word)
+    word = code._word_array(word)
     synd = code.syndromes(word)
     t, locator, trace = count_stage(code, synd)
     if t == 0:
-        return DecodeOutcome(word, (0,) * code.n, 0, locator, trace, code)
+        # A copy, as the word may be the caller's array, read by `message` later.
+        return DecodeOutcome(tuple(word.tolist()), (0,) * code.n, 0, locator, trace,
+                             code, None, word.copy())
     try:
         cw, message = tail(code, word, synd, locator, trace)
         return _verified_outcome(code, word, synd, cw, t, locator, trace, message)
@@ -300,13 +305,13 @@ def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
 def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
                                 locator: Poly, t: int) -> Poly:
     """Codeword polynomial (degree < k) from the word and its locator."""
-    word = code.check_word(word)
+    word = code._word_array(word)
     _, message = _recover(code, word, code.syndromes(word), locator, DecodeTrace())
     return Poly(code.field, message)
 
 
-def _recover(code: RSCode, word: tuple[int, ...], synd: Sequence[int],
-             locator: Poly, trace: DecodeTrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _recover(code: RSCode, word: np.ndarray, synd: Sequence[int],
+             locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, tuple[int, ...]]:
     # lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg(lambda * f_c)
     # < k + t <= n, so the coefficients of x^n and above are exactly those
     # of x^n * mu, and subtracting mu's own coefficients is folded into
@@ -330,12 +335,12 @@ def _recover(code: RSCode, word: tuple[int, ...], synd: Sequence[int],
     trace.interp_degree = interp.degree
     trace.high_quotient = mu
     trace.high_coeffs = high
-    cw = tuple(f.eval_at_powers(gc.coeffs, first=0, count=code.n).tolist())
+    cw = f.eval_at_powers(gc.coeffs, first=0, count=code.n)
     return cw, gc.coeffs + (0,) * (code.k - len(gc.coeffs))
 
 
-def _error_positions_and_values(code: RSCode, word: tuple[int, ...], synd: Sequence[int],
-                                locator: Poly, trace: DecodeTrace) -> tuple[tuple[int, ...], None]:
+def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: Sequence[int],
+                                locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, None]:
     """Error positions (locator roots' discrete logs) and Forney's values,
     subtracted from the word.
 
@@ -384,7 +389,7 @@ def _error_positions_and_values(code: RSCode, word: tuple[int, ...], synd: Seque
 
     omega_muls = sum(1 for c in omega[1:] if c)
     deriv_muls = sum(1 for c in deriv[1:] if c) + 1  # with the division
-    cw = list(word)
+    cw = word.copy()
     for pos in map(f.dlog, roots):
         num = at_inverse(omega, n - pos)
         muls += omega_muls
@@ -392,13 +397,13 @@ def _error_positions_and_values(code: RSCode, word: tuple[int, ...], synd: Seque
             muls += deriv_muls
             cw[pos] = f.add(cw[pos], exp2[log[num] - log[at_inverse(deriv, n - pos)] + n])
     add_mul_ops(muls)
-    return tuple(cw), None
+    return cw, None
 
 
-def _verified_outcome(code: RSCode, word: tuple[int, ...], synd: tuple[int, ...],
-                      cw: tuple[int, ...], t: int, locator: Poly, trace: DecodeTrace,
+def _verified_outcome(code: RSCode, word: np.ndarray, synd: tuple[int, ...],
+                      cw: np.ndarray, t: int, locator: Poly, trace: DecodeTrace,
                       message: tuple[int, ...] | None) -> DecodeOutcome:
-    err = code.field.sub_arr(np.array(word, dtype=np.int64), np.array(cw, dtype=np.int64))
+    err = code.field.sub_arr(word, cw)
     weight = int(np.count_nonzero(err))
     # Syndromes are linear, so cw is a codeword iff the error word - cw has
     # the word's syndromes.  The sparser of err and cw is evaluated: (n - k) t
@@ -412,7 +417,8 @@ def _verified_outcome(code: RSCode, word: tuple[int, ...], synd: tuple[int, ...]
     if weight != t:
         raise VerifyFailed(
             f"decoded codeword is at distance {weight}, expected exactly {t}")
-    return DecodeOutcome(cw, tuple(err.tolist()), t, locator, trace, code, message)
+    return DecodeOutcome(tuple(cw.tolist()), tuple(err.tolist()), t, locator, trace,
+                         code, message, cw)
 
 
 def _check_syndromes(code: RSCode, syndromes: Sequence[int]) -> np.ndarray:

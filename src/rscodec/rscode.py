@@ -48,14 +48,8 @@ class RSCode:
         self._par = None
 
     # ----- validation -----------------------------------------------------------
-
-    def check_word(self, word: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self._word_array(word).tolist())
-
-    def check_message(self, message: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self._message_array(message).tolist())
-
-    # The validated word or message as an int64 array (one numpy pass).
+    # One validator per kind, returning the int64 array (one numpy pass); a
+    # decoder validates its word once and keeps that array to the outcome.
 
     def _word_array(self, word: Sequence[int]) -> np.ndarray:
         if len(word) != self.n:

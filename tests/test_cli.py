@@ -156,6 +156,8 @@ def test_corrupt_deterministic_and_zero_identity(tmp_path):
     assert run("corrupt", "--errors", 1, "--seed", 5, stream, a) == EXIT_OK
     assert run("corrupt", "--errors", 1, "--seed", 5, stream, b) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+    # the error draws, pinned: one random_error per block, in block order
+    assert a.read_bytes() == StreamHeader(7, 2, 3, 4).pack() + b"3 0 5 6 5 4\n0 1 4 6 5 5\n"
     assert run("corrupt", "--errors", 0, "--seed", 5, stream, c) == EXIT_OK
     assert c.read_bytes() == stream.read_bytes()
 
@@ -270,6 +272,13 @@ def test_data_errors(tmp_path, capsys):
     assert run("encode", "--q", 7, "--k", 2, payload, stream) == EXIT_DATA
     payload.write_text("1 x")
     assert run("encode", "--q", 7, "--k", 2, payload, stream) == EXIT_DATA
+    # symbols are ASCII decimal digits: no sign, "_" or other int() spelling
+    payload.write_text("1_0 +3 -0 4")
+    assert run("encode", "--q", 16, "--k", 4, payload, stream) == EXIT_DATA
+    assert "non-integer token" in capsys.readouterr().err
+    stream.write_bytes(StreamHeader(7, 2, 5, 2).pack() + b"+0 0 0 0 0 0\n")
+    assert run("decode", stream, out) == EXIT_DATA
+    assert "non-integer token b'+0'" in capsys.readouterr().err
 
     stream.write_bytes(b"NOPE" + bytes(21))
     assert run("decode", stream, out) == EXIT_DATA

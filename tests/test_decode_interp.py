@@ -24,6 +24,7 @@ from rscodec import (
     recover_codeword_polynomial,
     solve_locator,
 )
+from rscodec.bench import DECODERS
 from rscodec.decode_interp import _bm_scan, _error_positions_and_values, _rank_scan, _run
 from rscodec.oracle import brute_nearest
 
@@ -242,22 +243,35 @@ def test_decode_singular_locator_deterministic():
 
 
 def test_decode_validates_word(rs72):
-    with pytest.raises(ValueError):
-        decode(rs72, (1, 2, 3))
-    with pytest.raises(ValueError):
-        decode(rs72, (0, 0, 0, 0, 0, 9))
-    # accepted exactly as Field.check accepts each symbol
-    for word in ((3, 4, 2, 6, 5, False), np.array(V, dtype=np.uint8),
-                 np.array(V, dtype=np.int64), [np.int64(x) for x in V]):
-        out = decode(rs72, word)
-        assert out.codeword == V and type(out.codeword[-1]) is int
-    assert decode(rs72, (3, 4, 2, 6, 5, True)).error == (0, 0, 0, 0, 0, 1)
-    for bad in (2.0, 2.5, -1, 7, 2 ** 70, np.float64(2), np.True_):
+    for dec in DECODERS.values():
         with pytest.raises(ValueError):
-            decode(rs72, (3, 4, bad, 6, 5, 0))
-    for word in (np.array(V, dtype=float), np.array(V, dtype=bool), np.array(V) + 0.5):
+            dec(rs72, (1, 2, 3))
         with pytest.raises(ValueError):
-            decode(rs72, word)
+            dec(rs72, (0, 0, 0, 0, 0, 9))
+        # accepted exactly as Field.check accepts each symbol
+        for word in ((3, 4, 2, 6, 5, False), np.array(V, dtype=np.uint8),
+                     np.array(V, dtype=np.int64), [np.int64(x) for x in V]):
+            out = dec(rs72, word)
+            assert out.codeword == V and type(out.codeword[-1]) is int
+        assert dec(rs72, (3, 4, 2, 6, 5, True)).error == (0, 0, 0, 0, 0, 1)
+        for bad in (2.0, 2.5, -1, 7, 2 ** 70, np.float64(2), np.True_):
+            with pytest.raises(ValueError):
+                dec(rs72, (3, 4, bad, 6, 5, 0))
+        for word in (np.array(V, dtype=float), np.array(V, dtype=bool), np.array(V) + 0.5):
+            with pytest.raises(ValueError):
+                dec(rs72, word)
+        # a codeword and a word with one error, in every accepted container:
+        # the outcome holds Python ints, never numpy scalars
+        for word, cw in ((V, V), (U, (4, 0, 1, 6, 3, 2))):
+            want = dec(rs72, word)
+            assert want.codeword == cw
+            for given in (word, list(word), np.array(word, dtype=np.int64),
+                          np.array(word, dtype=np.uint8)):
+                out = dec(rs72, given)
+                assert (out.codeword, out.error, out.message) == \
+                    (want.codeword, want.error, want.message)
+                for symbols in (out.codeword, out.error, out.message):
+                    assert all(type(x) is int for x in symbols)
 
 
 # ----- position-reading variant --------------------------------------------------------------
@@ -293,7 +307,7 @@ def test_forney_values_solve_the_value_system(q, k, kw):
     code = get_code(q, k, **kw)
     f = code.field
     rng = random.Random(q + 7)
-    zero = (0,) * code.n
+    zero = np.zeros(code.n, dtype=np.int64)  # the tails take the validated word array
     for _ in range(60):
         t = rng.randrange(1, code.tau + 1)
         positions = sorted(rng.sample(range(code.n), t))
@@ -306,7 +320,7 @@ def test_forney_values_solve_the_value_system(q, k, kw):
         want = system.solve(list(synd[:t])).solution
         cw, message = _error_positions_and_values(code, zero, synd, locator, DecodeTrace())
         assert message is None
-        got = tuple(f.neg(c) for c in cw)
+        got = tuple(f.neg(c) for c in cw.tolist())
         assert tuple(got[i] for i in positions) == want
         assert not any(c for j, c in enumerate(got) if j not in positions)
 

@@ -23,6 +23,14 @@ data; 4 at least one uncorrectable block under --strict.  Without
 --strict an uncorrectable block passes through as a best-effort estimate
 (the low-degree part of its interpolation polynomial) and is reported in
 --stats output.
+
+encode and decode work in chunks of blocks (`_CHUNK_SYMBOLS`).  decode
+evaluates each chunk once, at every power of alpha
+(`decode_interp.decode_blocks`), which gives every block its syndromes
+and its message.  So the `mul_count` of a --stats line counts the field
+multiplications of that block's own stages after the evaluation; the
+evaluation is counted once, in the global counter, and in no block's
+line.
 """
 
 from __future__ import annotations
@@ -38,9 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gf
 from .bench import DECODERS, TrialConfig, random_error, report_to_json, run_sweep
-from .decode_interp import decode  # noqa: F401  kept importable as cli.decode
+from .decode_interp import decode, decode_blocks  # noqa: F401  decode: kept as cli.decode
 from .exceptions import DecodeFailure
 from .gf import Field
 from .rscode import RSCode
@@ -54,11 +61,12 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_UNCORRECTED = 4
 
-# Code symbols per `encode_blocks` call of `cmd_encode`: 16 blocks of
-# RS(255, k), one block on larger fields, so the encoder's memory does not
-# grow with the payload.  A 405-block RS(255, 223) encode peaked at 30.8 MiB
-# RSS with 16 or 60 blocks a call, and at 33.8 MiB with all 405 in one.
-_ENCODE_SYMBOLS = 4096
+# Code symbols per `encode_blocks` call of `cmd_encode` and per
+# `decode_blocks` call of `cmd_decode`: 16 blocks of RS(255, k), one block
+# on larger fields, so memory does not grow with the stream.  A 405-block
+# RS(255, 223) encode peaked at 30.8 MiB RSS with 16 or 60 blocks a call,
+# and at 33.8 MiB with all 405 in one.
+_CHUNK_SYMBOLS = 4096
 
 CLI_DECODERS = DECODERS  # the same registry: decode and compare take the same names
 
@@ -141,10 +149,10 @@ def _parse_symbols(data: bytes, fmt: str, q: int, what: str) -> np.ndarray:
     return np.array(symbols, dtype=np.int64)
 
 
-def _render_payload(symbols: Sequence[int], fmt: str) -> bytes:
+def _render_payload(symbols: np.ndarray, fmt: str) -> bytes:
     if fmt == "bin":
-        return bytes(symbols)
-    return (" ".join(str(s) for s in symbols) + "\n").encode() if symbols else b""
+        return symbols.astype(np.uint8).tobytes()
+    return (" ".join(map(str, symbols.tolist())) + "\n").encode() if symbols.size else b""
 
 
 def _render_blocks(blocks: np.ndarray, fmt: str) -> bytes:
@@ -180,7 +188,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     k = code.k
     messages = np.zeros((-(-len(payload) // k), k), dtype=np.int64)
     messages.flat[:len(payload)] = payload  # the final message zero-padded
-    step = max(1, _ENCODE_SYMBOLS // code.n)
+    step = max(1, _CHUNK_SYMBOLS // code.n)
     body = b"".join(_render_blocks(code.encode_blocks(messages[i:i + step]), args.format)
                     for i in range(0, len(messages), step))
     header = StreamHeader(args.q, k, code.field.alpha, len(payload))
@@ -203,34 +211,33 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     header, code, blocks = _read_stream(args.input, args.format)
-    decoder = DECODERS[args.decoder]
+    step = max(1, _CHUNK_SYMBOLS // code.n)
+    messages = np.empty((len(blocks), code.k), dtype=np.int64)
     stats_lines = []
-    symbols: list[int] = []
     any_failed = False
-    for i, block in enumerate(blocks):
-        mul_start = gf.mul_ops_total() if args.stats else 0
-        try:
-            outcome = decoder(code, block)
-        except DecodeFailure as exc:
-            any_failed = True
-            # Best effort: keep the low-degree interpolation coefficients.
-            symbols.extend(code.low_coefficients(block))
-            trace, status, t = exc.trace, exc.reason, None
-        else:
-            symbols.extend(outcome.message)
-            trace, status, t = outcome.trace, "ok", outcome.error_count
-        if args.stats:
-            stats_lines.append(json.dumps({
-                "block": i,
-                "status": status,
-                "t": t,
-                "rank_checks": trace.rank_checks,
-                "det_checks": trace.det_checks,
-                "mul_count": gf.mul_ops_total() - mul_start,
-            }))
+    for lo in range(0, len(blocks), step):
+        # A failed block's message is the best-effort low-degree part of
+        # its interpolation polynomial.
+        messages[lo:lo + step], results, mul_counts = decode_blocks(
+            code, blocks[lo:lo + step], args.decoder)
+        for i, (result, muls) in enumerate(zip(results, mul_counts), start=lo):
+            if isinstance(result, DecodeFailure):
+                any_failed = True
+                status, t = result.reason, None
+            else:
+                status, t = "ok", result.error_count
+            if args.stats:
+                stats_lines.append(json.dumps({
+                    "block": i,
+                    "status": status,
+                    "t": t,
+                    "rank_checks": result.trace.rank_checks,
+                    "det_checks": result.trace.det_checks,
+                    "mul_count": muls,
+                }))
     if args.stats:
         _write_bytes(args.stats, ("".join(line + "\n" for line in stats_lines)).encode())
-    payload = symbols[:header.payload_len]
+    payload = messages.reshape(-1)[:header.payload_len]
     _write_bytes(args.output, _render_payload(payload, args.format))
     if any_failed and args.strict:
         print("error: uncorrectable block(s) in stream", file=sys.stderr)

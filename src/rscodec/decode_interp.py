@@ -2,9 +2,10 @@
 
 Write the received word as u = c + e with c a codeword and e of Hamming
 weight t.  `_run` validates the word once, into an int64 array
-(`RSCode._word_array`); every later stage works on that array, and the
-outcome's tuples are made once, at the end.  Every decoder runs one flow
-on the n - k syndromes s_r = u(alpha^(r+1)):
+(`RSCode._word_array`); every later stage works on that array and on the
+int64 array of its evaluations, and the outcome's tuples are made once,
+at the end.  Every decoder runs one flow on the n - k syndromes
+s_r = u(alpha^(r+1)):
 
 1. count stage: find t <= tau and the monic error locator lambda, whose
    roots are alpha^i for the error positions i, or raise TooManyErrors or
@@ -32,7 +33,8 @@ Count stages, each (code, syndromes) -> (t, locator, trace):
   fail.  It leaves both trace counters at 0.
 
 Tails: the paper's recover (`_recover`) extends the syndromes by the
-other k evaluations to the interpolation polynomial f_u (degree < n).
+other k evaluations, unless it is given all n, to the interpolation
+polynomial f_u (degree < n).
 lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg f_c < k, so mu is
 read off the coefficients of x^n and above, f_c = f_u - (x^n - 1) * mu /
 lambda with the division exact, and the codeword is f_c evaluated at
@@ -40,14 +42,27 @@ alpha^0, ..., alpha^(n-1).  Positions (`_error_positions_and_values`)
 reads the error positions off the locator's roots (a Chien search) and
 takes the error values from Forney's formula, which gives the solution of
 the t x t value system without solving it; it never interpolates the
-whole word.  Both tails take the word array and return a codeword array.
+whole word.  Both tails take the word array and its evaluations and
+return a codeword array.
 
-The decoders are the pairs `decode` (rank scan, recover),
-`decode_via_positions` (rank scan, positions), `pgz_decode`
+The decoders are the pairs of `_pipeline`: `decode` (rank scan,
+recover), `decode_via_positions` (rank scan, positions), `pgz_decode`
 (determinant scan, positions) and `bm_decode` (Berlekamp-Massey,
 positions).  As every answer is re-verified, inputs beyond the
 correction radius either raise DecodeFailure or decode to some codeword
 genuinely within distance tau.
+
+One word (`_run`) evaluates its n - k syndromes by the direct sum, and
+its message only when asked.  A chunk of words (`decode_blocks`)
+evaluates every word at all of alpha^1, ..., alpha^n in one call, which
+takes the batched transform: the first n - k values of a row are its
+syndromes, and the last k, negated and reversed, are the low part
+low(u) = (f_0, ..., f_(k-1)) of its interpolation polynomial.  Each row
+then runs the same per-row body (`_decode_row`) as `_run`, and its
+message comes from that evaluation: low(u) itself when t = 0, the recover
+tail's polynomial, or low(u) - low(e) after the positions tail, low(e)
+being k t products on the t-sparse error.  A failed row keeps low(u) as
+its best-effort estimate.
 """
 
 from __future__ import annotations
@@ -67,7 +82,7 @@ from .exceptions import (
     VerifyFailed,
 )
 from .femat import FeMat, _eliminate
-from .gf import add_mul_ops
+from .gf import add_mul_ops, mul_ops_total
 from .poly import Poly
 from .rscode import RSCode
 
@@ -94,9 +109,9 @@ class DecodeOutcome:
     """A successful decode: the nearest codeword and how it was found.
 
     `message` is the k message symbols of `codeword`, the coefficients of
-    its polynomial of degree < k.  The recover tail holds that polynomial
-    already; otherwise the message is computed on first access, from k
-    evaluations of the decoder's codeword array (`RSCode.low_coefficients`).
+    its polynomial of degree < k.  The recover tail and `decode_blocks`
+    hold it already; otherwise it is computed on first access, from k
+    evaluations of the decoder's codeword array.
     """
 
     codeword: tuple[int, ...]
@@ -105,42 +120,87 @@ class DecodeOutcome:
     locator: Poly
     trace: DecodeTrace
     _code: RSCode | None = field(default=None, repr=False, compare=False)
-    _message: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    _message: np.ndarray | None = field(default=None, repr=False, compare=False)
     _codeword: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def message(self) -> tuple[int, ...]:
         if self._message is None:
-            self._message = self._code.low_coefficients(self._codeword)
-        return self._message
+            code = self._code
+            self._message = code.low_from_evaluations(code.field.eval_at_powers(
+                self._codeword, first=code.n - code.k + 1, count=code.k))
+        return tuple(self._message.tolist())
 
 
 def decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     """The paper's decoder: rank scan, then recover the codeword polynomial."""
-    return _run(code, word, _rank_scan, _recover)
+    return _run(code, word, *_pipeline("interp"))
 
 
 def decode_via_positions(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     """Rank scan, then read the error positions off the locator's roots."""
-    return _run(code, word, _rank_scan, _error_positions_and_values)
+    return _run(code, word, *_pipeline("interp-pos"))
 
 
 def bm_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     """Berlekamp-Massey, then the error positions and Forney's values."""
-    return _run(code, word, _bm_scan, _error_positions_and_values)
+    return _run(code, word, *_pipeline("bm"))
 
 
 def _run(code: RSCode, word: Sequence[int], count_stage, tail) -> DecodeOutcome:
     word = code._word_array(word)
-    synd = code.syndromes(word)
+    synd = code.field.eval_at_powers(word, first=1, count=code.n - code.k)
+    return _decode_row(code, word, synd, None, count_stage, tail)
+
+
+def decode_blocks(code: RSCode, blocks: np.ndarray, name: str
+                  ) -> tuple[np.ndarray, list[DecodeOutcome | DecodeFailure], list[int]]:
+    """Decode the rows of a (B, n) array with the stages of decoder `name`.
+
+    One `eval_at_powers` call evaluates every row at alpha^1, ..., alpha^n;
+    each row then runs the pipeline of `_run` on its slice of it.  Returns
+    the (B, k) messages (a failed row's is the best-effort low(u)), each
+    row's DecodeOutcome or the DecodeFailure it raised, and each row's
+    field multiplications after the shared evaluation, which is counted
+    once, in no row.
+    """
+    count_stage, tail = _pipeline(name)
+    f = code.field
+    words = f.asarray(blocks)
+    if words.ndim != 2 or words.shape[1] != code.n:
+        raise ValueError(f"blocks shape {words.shape} is not (B, n = {code.n})")
+    evals = f.eval_at_powers(words, first=1, count=code.n)
+    messages = code.low_from_evaluations(evals[:, code.n - code.k:])
+    results: list[DecodeOutcome | DecodeFailure] = []
+    mul_counts = []
+    for word, row, low in zip(words, evals, messages):
+        start = mul_ops_total()
+        try:
+            outcome = _decode_row(code, word, row, low, count_stage, tail)
+        except DecodeFailure as exc:
+            results.append(exc)
+        else:
+            results.append(outcome)
+            low[:] = outcome._message
+        mul_counts.append(mul_ops_total() - start)
+    return messages, results, mul_counts
+
+
+def _decode_row(code: RSCode, word: np.ndarray, evals: np.ndarray, low: np.ndarray | None,
+                count_stage, tail) -> DecodeOutcome:
+    """The pipeline on one validated word.  `evals` are its evaluations
+    from alpha^1 on: the n - k syndromes, or all n of them, in which case
+    `low` is low(u) and the outcome holds its message."""
+    synd = evals[:code.n - code.k]
     t, locator, trace = count_stage(code, synd)
     if t == 0:
-        # A copy, as the word may be the caller's array, read by `message` later.
+        # Copies: the word may be the caller's array and low a row of the
+        # messages `decode_blocks` returns, and `message` reads them later.
         return DecodeOutcome(tuple(word.tolist()), (0,) * code.n, 0, locator, trace,
-                             code, None, word.copy())
+                             code, None if low is None else low.copy(), word.copy())
     try:
-        cw, message = tail(code, word, synd, locator, trace)
-        return _verified_outcome(code, word, synd, cw, t, locator, trace, message)
+        cw, message = tail(code, word, evals, locator, trace)
+        return _verified_outcome(code, word, synd, cw, t, locator, trace, message, low)
     except DecodeFailure as exc:
         exc.trace = trace
         raise
@@ -175,7 +235,7 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
     return None
 
 
-def _rank_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, Poly, DecodeTrace]:
+def _rank_scan(code: RSCode, synd: np.ndarray) -> tuple[int, Poly, DecodeTrace]:
     t = detect_error_count(code, synd)
     if t is None:
         raise TooManyErrors(
@@ -184,12 +244,11 @@ def _rank_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, Poly, DecodeTrac
     return _with_locator(code, synd, t, DecodeTrace(rank_checks=t + 1))
 
 
-def _determinant_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, Poly, DecodeTrace]:
-    s = _check_syndromes(code, synd)
-    if not s.any():
+def _determinant_scan(code: RSCode, synd: np.ndarray) -> tuple[int, Poly, DecodeTrace]:
+    if not synd.any():
         return 0, Poly.one(code.field), DecodeTrace()
     for checks, h in enumerate(range(code.tau, 0, -1), start=1):
-        if FeMat._wrap(code.field, _hankel(s, h, h)).det() != 0:
+        if FeMat._wrap(code.field, _hankel(synd, h, h)).det() != 0:
             return _with_locator(code, synd, h, DecodeTrace(det_checks=checks))
     raise TooManyErrors(
         f"all Hankel determinants up to tau = {code.tau} vanish for a "
@@ -197,7 +256,7 @@ def _determinant_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, Poly, Dec
         trace=DecodeTrace(det_checks=code.tau))
 
 
-def _with_locator(code: RSCode, synd: Sequence[int], t: int,
+def _with_locator(code: RSCode, synd: np.ndarray, t: int,
                   trace: DecodeTrace) -> tuple[int, Poly, DecodeTrace]:
     """The count stage's result with the Hankel locator of `solve_locator`;
     a SingularLocatorSystem carries the stage's trace."""
@@ -210,9 +269,9 @@ def _with_locator(code: RSCode, synd: Sequence[int], t: int,
         raise
 
 
-def _bm_scan(code: RSCode, synd: Sequence[int]) -> tuple[int, Poly, DecodeTrace]:
+def _bm_scan(code: RSCode, synd: np.ndarray) -> tuple[int, Poly, DecodeTrace]:
     trace = DecodeTrace()
-    t, locator = berlekamp_massey(code, synd)
+    t, locator = _massey(code, np.asarray(synd).tolist())
     if t > code.tau:
         raise TooManyErrors(
             f"the syndromes have linear complexity {t} > tau = {code.tau}", trace=trace)
@@ -232,7 +291,10 @@ def berlekamp_massey(code: RSCode, syndromes: Sequence[int]) -> tuple[int, Poly]
     product C_i * s_(r-i) (i >= 1), a correction costs one division and one
     multiplication per nonzero coefficient of the shifted earlier C.
     """
-    s = _check_syndromes(code, syndromes).tolist()
+    return _massey(code, _check_syndromes(code, syndromes).tolist())
+
+
+def _massey(code: RSCode, s: list[int]) -> tuple[int, Poly]:
     f = code.field
     if not any(s):
         return 0, Poly.one(f)
@@ -300,25 +362,30 @@ def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
     return Poly(code.field, res.solution + (1,))
 
 
-# ----- tails: (code, word, syndromes, locator, trace) -> (codeword, message or None)
+# ----- tails: (code, word, evaluations, locator, trace) -> (codeword, message or None)
+#
+# The evaluations are u(alpha^1), ... : the n - k syndromes, or all n.
 
 def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
                                 locator: Poly, t: int) -> Poly:
     """Codeword polynomial (degree < k) from the word and its locator."""
     word = code._word_array(word)
-    _, message = _recover(code, word, code.syndromes(word), locator, DecodeTrace())
-    return Poly(code.field, message)
+    evals = code.field.eval_at_powers(word, first=1, count=code.n)
+    _, message = _recover(code, word, evals, locator, DecodeTrace())
+    return Poly(code.field, message.tolist())
 
 
-def _recover(code: RSCode, word: np.ndarray, synd: Sequence[int],
-             locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, tuple[int, ...]]:
+def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
+             locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray]:
     # lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg(lambda * f_c)
     # < k + t <= n, so the coefficients of x^n and above are exactly those
     # of x^n * mu, and subtracting mu's own coefficients is folded into
     # the (x^n - 1) * mu construction below.
     f = code.field
-    rest = f.eval_at_powers(word, first=code.n - code.k + 1, count=code.k)
-    interp = code.interpolate_from_evaluations(np.concatenate((f.asarray(synd), rest)))
+    if len(evals) < code.n:
+        rest = f.eval_at_powers(word, first=code.n - code.k + 1, count=code.k)
+        evals = np.concatenate((evals, rest))
+    interp = code.interpolate_from_evaluations(evals)
     prod = locator * interp
     high = tuple(prod.coeffs[code.n:])
     mu = Poly(f, high)
@@ -336,10 +403,12 @@ def _recover(code: RSCode, word: np.ndarray, synd: Sequence[int],
     trace.high_quotient = mu
     trace.high_coeffs = high
     cw = f.eval_at_powers(gc.coeffs, first=0, count=code.n)
-    return cw, gc.coeffs + (0,) * (code.k - len(gc.coeffs))
+    message = np.zeros(code.k, dtype=np.int64)
+    message[:len(gc.coeffs)] = gc.coeffs
+    return cw, message
 
 
-def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: Sequence[int],
+def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray,
                                 locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, None]:
     """Error positions (locator roots' discrete logs) and Forney's values,
     subtracted from the word.
@@ -400,25 +469,43 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: Sequence[i
     return cw, None
 
 
-def _verified_outcome(code: RSCode, word: np.ndarray, synd: tuple[int, ...],
+def _verified_outcome(code: RSCode, word: np.ndarray, synd: np.ndarray,
                       cw: np.ndarray, t: int, locator: Poly, trace: DecodeTrace,
-                      message: tuple[int, ...] | None) -> DecodeOutcome:
-    err = code.field.sub_arr(word, cw)
+                      message: np.ndarray | None, low: np.ndarray | None) -> DecodeOutcome:
+    f = code.field
+    err = f.sub_arr(word, cw)
     weight = int(np.count_nonzero(err))
     # Syndromes are linear, so cw is a codeword iff the error word - cw has
     # the word's syndromes.  The sparser of err and cw is evaluated: (n - k) t
     # products for a decoded word, none for the zero codeword, not (n - k) n.
+    r = code.n - code.k
     if weight <= np.count_nonzero(cw):
-        is_codeword = code.syndromes(err) == synd
+        is_codeword = np.array_equal(f.eval_at_powers(err, first=1, count=r), synd)
     else:
-        is_codeword = not any(code.syndromes(cw))
+        is_codeword = not f.eval_at_powers(cw, first=1, count=r).any()
     if not is_codeword:
         raise VerifyFailed("decoded word is not a codeword")
     if weight != t:
         raise VerifyFailed(
             f"decoded codeword is at distance {weight}, expected exactly {t}")
+    if message is None and low is not None:
+        # low(c) = low(u) - low(e), the direct sum on the t nonzeros of e.
+        low_err = code.low_from_evaluations(f.eval_at_powers(err, first=r + 1, count=code.k))
+        message = f.sub_arr(low, low_err)
     return DecodeOutcome(tuple(cw.tolist()), tuple(err.tolist()), t, locator, trace,
                          code, message, cw)
+
+
+def _pipeline(name: str) -> tuple:
+    """The (count stage, tail) pair of the decoder `name` of `DECODERS`.
+    The stages are looked up on each call, so a wrapped stage is the one
+    that runs."""
+    return {
+        "interp": (_rank_scan, _recover),
+        "interp-pos": (_rank_scan, _error_positions_and_values),
+        "pgz": (_determinant_scan, _error_positions_and_values),
+        "bm": (_bm_scan, _error_positions_and_values),
+    }[name]
 
 
 def _check_syndromes(code: RSCode, syndromes: Sequence[int]) -> np.ndarray:

@@ -21,8 +21,7 @@ from typing import Sequence
 
 from .decode_interp import (  # noqa: F401  solve_locator: the stage is re-exported here
     DecodeOutcome,
-    _determinant_scan,
-    _error_positions_and_values,
+    _pipeline,
     _run,
     solve_locator,
 )
@@ -31,4 +30,4 @@ from .rscode import RSCode
 
 def pgz_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     """Decode via the descending determinant scan described above."""
-    return _run(code, word, _determinant_scan, _error_positions_and_values)
+    return _run(code, word, *_pipeline("pgz"))

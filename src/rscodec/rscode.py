@@ -126,7 +126,12 @@ class RSCode:
         message."""
         vals = self.field.eval_at_powers(self._word_array(word), first=self.n - self.k + 1,
                                          count=self.k)
-        return tuple(self.field.neg_arr(vals[::-1]).tolist())
+        return tuple(self.low_from_evaluations(vals).tolist())
+
+    def low_from_evaluations(self, tail: np.ndarray) -> np.ndarray:
+        """f_0, ..., f_(k-1) as an int64 array, from the last k word
+        evaluations u(alpha^(n-k+1)), ..., u(alpha^n) along the last axis."""
+        return self.field.neg_arr(tail[..., ::-1])
 
     def lagrange_basis(self, i: int) -> Poly:
         """The basis polynomial f_i with f_i(alpha^j) = 1 if j == i else 0.

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rscodec import DECODERS, Field, Poly, RSCode
+from rscodec import DECODERS, DecodeFailure, Field, Poly, RSCode
 from rscodec.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -189,6 +189,48 @@ def test_decode_stats(tmp_path):
         assert rec["t"] == 1
         assert rec["rank_checks"] == rec["det_checks"] == 0
         assert rec["mul_count"] > 0
+
+
+def test_decode_chunks_match_block_decodes(tmp_path):
+    # 40 blocks of RS(255, 223) span three decode chunks: codewords, words
+    # at t = 1..16 and one random, uncorrectable word.  Every decoder's
+    # payload and --stats lines are those of one-block decodes.
+    code = RSCode(Field(256), 223)
+    rng = random.Random(40)
+    blocks = []
+    for i in range(40):
+        word = list(code.encode([rng.randrange(256) for _ in range(223)]))
+        for pos in rng.sample(range(255), i % 17):
+            word[pos] ^= rng.randrange(1, 256)
+        blocks.append(word)
+    blocks[25] = [rng.randrange(256) for _ in range(255)]
+    payload_len = 40 * 223 - 5
+    stream, out, stats = tmp_path / "s", tmp_path / "o", tmp_path / "stats.jsonl"
+    stream.write_bytes(StreamHeader(256, 223, 2, payload_len).pack()
+                       + b"".join(bytes(b) for b in blocks))
+    for name, fn in DECODERS.items():
+        symbols, want_stats = [], []
+        for i, block in enumerate(blocks):
+            try:
+                outcome = fn(code, block)
+            except DecodeFailure as exc:
+                symbols += code.low_coefficients(block)
+                want_stats.append((i, exc.reason, None, exc.trace.rank_checks,
+                                   exc.trace.det_checks))
+            else:
+                symbols += outcome.message
+                want_stats.append((i, "ok", outcome.error_count, outcome.trace.rank_checks,
+                                   outcome.trace.det_checks))
+        assert sum(s[1] != "ok" for s in want_stats) == 1
+        for strict in (False, True):
+            args = ["decode", "--decoder", name, "--format", "bin", "--stats", stats]
+            rc = run(*args, *(["--strict"] if strict else []), stream, out)
+            assert rc == (EXIT_UNCORRECTED if strict else EXIT_OK)
+            assert out.read_bytes() == bytes(symbols[:payload_len])
+            recs = [json.loads(line) for line in stats.read_text().splitlines()]
+            assert [(r["block"], r["status"], r["t"], r["rank_checks"], r["det_checks"])
+                    for r in recs] == want_stats
+            assert all(r["mul_count"] >= 0 for r in recs)
 
 
 def test_decode_strict_uncorrectable(tmp_path):

@@ -25,7 +25,13 @@ from rscodec import (
     solve_locator,
 )
 from rscodec.bench import DECODERS
-from rscodec.decode_interp import _bm_scan, _error_positions_and_values, _rank_scan, _run
+from rscodec.decode_interp import (
+    _bm_scan,
+    _error_positions_and_values,
+    _rank_scan,
+    _run,
+    decode_blocks,
+)
 from rscodec.oracle import brute_nearest
 
 from .util import ball_volume, corrupt, get_code, random_word, whole_space_accepted
@@ -507,3 +513,51 @@ def test_failure_carries_trace():
         assert exc.trace.rank_checks == 2
     else:
         pytest.fail("expected TooManyErrors")
+
+
+# ----- the batched entry ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, k, kw", [
+    (7, 2, {"alpha": 5}),
+    (16, 6, {"reduction": 0x19, "alpha": 6}),
+    (257, 200, {}),  # n = 256 is a prime power: no transform, the direct sum
+    (256, 223, {}),
+])
+def test_decode_blocks_matches_one_word_decoders(q, k, kw):
+    # One chunk mixes codewords, words at every t = 1..tau, words past tau
+    # and random words; each row matches the one-word decoder of the same
+    # name on everything it returns, and a failed row's message is the
+    # best-effort low part of its interpolation polynomial.
+    code = get_code(q, k, **kw)
+    rng = random.Random(q * 31 + k)
+    weights = [0, 0, *range(1, code.tau + 1), code.tau + 1, code.tau + 2]
+    words = [corrupt(rng, code, code.encode([rng.randrange(q) for _ in range(k)]), t)
+             for t in weights]
+    words += [random_word(rng, code) for _ in range(4)]
+    rng.shuffle(words)
+    blocks = np.array(words, dtype=np.int64)
+    failed = 0
+    for name, fn in DECODERS.items():
+        messages, results, mul_counts = decode_blocks(code, blocks, name)
+        assert messages.shape == (len(words), k)
+        assert len(results) == len(mul_counts) == len(words)
+        for word, message, got, muls in zip(words, messages.tolist(), results, mul_counts):
+            assert muls >= 0
+            try:
+                want = fn(code, word)
+            except DecodeFailure as exc:
+                failed += 1
+                assert type(got) is type(exc)
+                assert (str(got), got.reason, got.trace) == (str(exc), exc.reason, exc.trace)
+                assert tuple(message) == code.low_coefficients(word)
+            else:
+                assert got == want  # codeword, error, t, locator and trace
+                assert got.message == want.message == tuple(message)
+    assert failed > 0
+    # The rows are validated like one word is.
+    with pytest.raises(ValueError):
+        decode_blocks(code, blocks[:, 1:], "bm")
+    with pytest.raises(ValueError):
+        decode_blocks(code, blocks + q, "bm")
+    messages, results, _ = decode_blocks(code, blocks[:0], "interp")
+    assert messages.shape == (0, k) and results == []

@@ -355,6 +355,29 @@ def test_transform_matches_direct_sum(q, kw):
     assert f.eval_at_powers(rows[:0], first=2, count=full).shape == (0, full)
 
 
+@pytest.mark.parametrize("q, kw", [(16, GF16_0X19), (31, {}), (211, {}), (256, {})],
+                         ids=["16", "31", "211", "256"])
+def test_transform_axis_passes_on_batches(q, kw):
+    # An axis pass reduces blocks of gathered terms for few outputs and
+    # adds one gather per term in place for many; batches of 1 to 150 rows
+    # take both, on binary and prime fields, and match the direct sum.
+    f = get_field(q, **kw)
+    n = q - 1
+    plan = f._transform_plan()
+    rng = np.random.default_rng(q + 1)
+    taken = set()
+    for rows, width, first in ((1, n, 1), (5, n - 3, 0), (150, n, n + 2), (17, 4, 3)):
+        c = rng.integers(0, q, size=(rows, width))
+        c[rows // 2, rng.random(width) < 0.7] = 0
+        taken.add(rows * n <= gf._GATHER_OUTPUTS)
+        got = f._eval_transform(plan, c, first, n)
+        for row, values in zip(c, got):
+            want = np.zeros(n, dtype=np.int64)
+            f._eval_direct(row, first, want)
+            assert values.tolist() == want.tolist()
+    assert taken == {True, False}
+
+
 def test_transform_counts_products_it_forms():
     f = get_field(256)
     plan = f._transform_plan()

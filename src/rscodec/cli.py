@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("input", help="payload file")
     p.add_argument("output", help="coded stream file")
-    p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("corrupt", help="inject errors of exact weight per block")
     p.add_argument("--errors", type=int, required=True,
@@ -292,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("input", help="coded stream file")
     p.add_argument("output", help="corrupted stream file")
-    p.set_defaults(fn=cmd_corrupt)
 
     p = sub.add_parser("decode", help="decode a coded stream back to its payload")
     p.add_argument("--decoder", choices=sorted(DECODERS), default="bm",
@@ -304,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("input", help="coded stream file")
     p.add_argument("output", help="decoded payload file")
-    p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("compare", help="benchmark decoders on random corruptions")
     p.add_argument("--q", type=int, required=True)
@@ -318,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of {sorted(DECODERS)}")
     p.add_argument("--include-wall", action="store_true",
                    help="include wall-time means (breaks byte-determinism)")
-    p.set_defaults(fn=cmd_compare)
 
     return parser
 
@@ -331,7 +327,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # Looked up on each call, so a wrapped cmd_* is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -18,9 +18,12 @@ Count stages, each (code, syndromes) -> (t, locator, trace):
 
 - the paper's rank scan (`detect_error_count`, the smallest t whose
   (n-k-t) x t Hankel matrix has the rank of its (n-k-t) x (t+1)
-  augmentation; t + 1 rank checks, each one elimination of the augmented
-  matrix with pivots restricted to its first t columns), then the t x t
-  Hankel system [s_(i+j)] for lambda (`solve_locator`);
+  augmentation; t + 1 rank checks, answered by one incremental
+  elimination: the candidates' matrices are nested, each adding a column
+  and dropping a row, so one reduced basis of the failed candidates'
+  columns, cut to the shrinking row window, decides each check with one
+  reduction of the new column), then the t x t Hankel system [s_(i+j)]
+  for lambda (`solve_locator`);
 - the Peterson-Gorenstein-Zierler determinant scan (the largest h <= tau
   with a nonzero h x h Hankel determinant; 0 checks for a codeword,
   tau - t + 1 on success, tau on failure), then `solve_locator`;
@@ -81,7 +84,7 @@ from .exceptions import (
     TooManyErrors,
     VerifyFailed,
 )
-from .femat import FeMat, _eliminate
+from .femat import FeMat
 from .gf import add_mul_ops, mul_ops_total
 from .poly import Poly
 from .rscode import RSCode
@@ -221,17 +224,51 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
     """Smallest t in [0, tau] consistent with the syndromes, else None.
 
     Candidate t is consistent when appending the next syndrome column to
-    the (n-k-t) x t Hankel matrix does not raise its rank.  One elimination
-    of the (n-k-t) x (t+1) augmented matrix, with pivots taken from the
-    first t columns only, decides it: the ranks are equal iff column t has
-    no nonzero left below the pivot rows.
+    the (n-k-t) x t Hankel matrix does not raise its rank: when the column
+    v_t = (s_t, ..., s_(n-k-1)) lies in the span of v_0, ..., v_(t-1) cut
+    to their first R_t = n-k-t coordinates.  One incremental elimination
+    answers every candidate.  It keeps the failed candidates' columns, cut
+    to R_t, as a basis in reduced form: each row's pivot is its first
+    nonzero coordinate, every other row is zero there, and rows are not
+    normalized.  Cutting the window from R_(t-1) to R_t drops the row
+    whose pivot was R_t, which is zero on the first R_t coordinates.
+    Candidate t subtracts (v_t[p] / b[p]) b for every row b with pivot p
+    and is consistent iff nothing is left; a remainder joins the basis
+    once its pivot column is cleared from the other rows.
     """
     s = _check_syndromes(code, syndromes)
+    f = code.field
+    accumulate = np.add if f.kind == "prime" else np.bitwise_xor
+    basis = np.zeros((code.tau, len(s)), dtype=np.int64)  # rows [0, len(pivots))
+    pivots: list[int] = []
+    inv_pivots = np.zeros(code.tau, dtype=np.int64)  # 1 / b[p], row by row
     for t in range(code.tau + 1):
-        aug = _hankel(s, code.n - code.k - t, t + 1)
-        pivots, _ = _eliminate(code.field, aug, pivot_cols=t)
-        if not aug[len(pivots):, t].any():
+        width = len(s) - t
+        rank = len(pivots)
+        if width in pivots:
+            i, rank = pivots.index(width), rank - 1
+            basis[i], inv_pivots[i], pivots[i] = basis[rank], inv_pivots[rank], pivots[rank]
+            pivots.pop()
+        rows = basis[:rank, :width]
+        left = s[t:]
+        if rank:
+            coef = f.mul_arr(left[pivots], inv_pivots[:rank])
+            left = f.sub_arr(left, accumulate.reduce(f.mul_arr(coef[:, None], rows), axis=0))
+        nonzero = left.nonzero()[0]
+        if not nonzero.size:
             return t
+        if t == code.tau:
+            break
+        p = int(nonzero[0])
+        # A quotient a / b is one product a * (1 / b), counted by `mul_arr`
+        # when a is nonzero, as `Field.div` counts it; 1 / b is a lookup.
+        inv = f._exp2[f.q - 1 - f.log[int(left[p])]]
+        if rank:
+            scale = f.mul_arr(rows[:, p], inv)
+            rows[:, p:] = f.sub_arr(rows[:, p:], f.mul_arr(scale[:, None], left[p:]))
+        basis[rank, :width] = left
+        inv_pivots[rank] = inv
+        pivots.append(p)
     return None
 
 
@@ -379,32 +416,35 @@ def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
              locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray]:
     # lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg(lambda * f_c)
     # < k + t <= n, so the coefficients of x^n and above are exactly those
-    # of x^n * mu, and subtracting mu's own coefficients is folded into
-    # the (x^n - 1) * mu construction below.
+    # of x^n * mu.  deg mu < t < n, so (x^n - 1) * mu is -mu at the bottom
+    # and mu from x^n up, with no overlap.
     f = code.field
     if len(evals) < code.n:
         rest = f.eval_at_powers(word, first=code.n - code.k + 1, count=code.k)
         evals = np.concatenate((evals, rest))
-    interp = code.interpolate_from_evaluations(evals)
+    coeffs = f.neg_arr(evals[::-1])  # f_u, as `interpolate_from_evaluations` reads it
+    interp = Poly(f, coeffs.tolist())
     prod = locator * interp
-    high = tuple(prod.coeffs[code.n:])
+    high = prod.coeffs[code.n:]
     mu = Poly(f, high)
-    wrapped = mu.shifted(code.n) - mu
+    wrapped = Poly(f, [f.neg(c) for c in high] + [0] * (code.n - len(high)) + list(high))
     quot, rem = divmod(wrapped, locator)
     if not rem.is_zero():
         raise InexactDivision(
             "locator does not divide the wrapped high part; it cannot "
             "explain the received word")
-    gc = interp - quot
-    if gc.degree >= code.k:
-        raise DegreeTooHigh(
-            f"recovered polynomial has degree {gc.degree}, expected < k = {code.k}")
+    # f_c = f_u - quot, in place on f_u's coefficients; deg quot < n
+    lo = len(quot.coeffs)
+    coeffs[:lo] = f.sub_arr(coeffs[:lo], np.asarray(quot.coeffs, dtype=np.int64))
+    above = np.flatnonzero(coeffs[code.k:])
+    if above.size:
+        raise DegreeTooHigh(f"recovered polynomial has degree {code.k + int(above[-1])}, "
+                            f"expected < k = {code.k}")
     trace.interp_degree = interp.degree
     trace.high_quotient = mu
     trace.high_coeffs = high
-    cw = f.eval_at_powers(gc.coeffs, first=0, count=code.n)
-    message = np.zeros(code.k, dtype=np.int64)
-    message[:len(gc.coeffs)] = gc.coeffs
+    message = coeffs[:code.k]
+    cw = f.eval_at_powers(message, first=0, count=code.n)
     return cw, message
 
 

@@ -109,6 +109,18 @@ def test_parser_built_once_and_reused(tmp_path):
     assert out.read_text() == "1 2 3\n"
 
 
+def test_command_looked_up_at_call_time(tmp_path, monkeypatch):
+    # The cached parser is built before the patch; main still runs the
+    # module's current cmd_decode, so a wrapped command is the one called.
+    from rscodec import cli
+    cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_decode", lambda args: calls.append(args) or 7)
+    stream, out = tmp_path / "s", tmp_path / "o"
+    assert cli.main(["decode", "--decoder", "pgz", str(stream), str(out)]) == 7
+    assert [(a.command, a.decoder, a.input) for a in calls] == [("decode", "pgz", str(stream))]
+
+
 @pytest.mark.parametrize("fmt", ["text", "bin"])
 def test_roundtrip_with_corruption(tmp_path, fmt):
     payload = tmp_path / "p"

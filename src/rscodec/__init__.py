@@ -21,10 +21,10 @@ from .decode_interp import (
     decode,
     decode_via_positions,
     detect_error_count,
+    pgz_decode,
     recover_codeword_polynomial,
     solve_locator,
 )
-from .decode_pgz import pgz_decode
 from .exceptions import (
     DecodeFailure,
     DegreeTooHigh,

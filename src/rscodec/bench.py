@@ -25,8 +25,7 @@ import time
 from dataclasses import dataclass
 
 from . import gf
-from .decode_interp import bm_decode, decode, decode_via_positions
-from .decode_pgz import pgz_decode
+from .decode_interp import bm_decode, decode, decode_via_positions, pgz_decode
 from .exceptions import DecodeFailure
 from .rscode import RSCode
 

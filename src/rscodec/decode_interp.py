@@ -39,14 +39,16 @@ Tails: the paper's recover (`_recover`) extends the syndromes by the
 other k evaluations, unless it is given all n, to the interpolation
 polynomial f_u (degree < n).
 lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg f_c < k, so mu is
-read off the coefficients of x^n and above, f_c = f_u - (x^n - 1) * mu /
-lambda with the division exact, and the codeword is f_c evaluated at
-alpha^0, ..., alpha^(n-1).  Positions (`_error_positions_and_values`)
-reads the error positions off the locator's roots (a Chien search) and
-takes the error values from Forney's formula, which gives the solution of
-the t x t value system without solving it; it never interpolates the
-whole word.  Both tails take the word array and its evaluations and
-return a codeword array.
+the coefficients of x^n and above, which only the top t coefficients of
+f_u reach: mu is coefficients t, ..., 2t - 1 of lambda times
+f_(n-t) + ... + f_(n-1) x^(t-1), a (t + 1) x t product.  Then
+f_c = f_u - (x^n - 1) * mu / lambda with the division exact, and the
+codeword is f_c evaluated at alpha^0, ..., alpha^(n-1).  Positions
+(`_error_positions_and_values`) reads the error positions off the
+locator's roots (a Chien search) and takes the error values from
+Forney's formula, which gives the solution of the t x t value system
+without solving it; it never interpolates the whole word.  Both tails
+take the word array and its evaluations and return a codeword array.
 
 The decoders are the pairs of `_pipeline`: `decode` (rank scan,
 recover), `decode_via_positions` (rank scan, positions), `pgz_decode`
@@ -70,6 +72,7 @@ its best-effort estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -143,6 +146,17 @@ def decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
 def decode_via_positions(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     """Rank scan, then read the error positions off the locator's roots."""
     return _run(code, word, *_pipeline("interp-pos"))
+
+
+def pgz_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
+    """Peterson-Gorenstein-Zierler, for comparison: the determinant scan,
+    then the error positions and Forney's values.
+
+    The scan makes 0 determinant checks for a codeword, tau - t + 1 for a
+    successful decode of weight t >= 1, and tau when no weight fits
+    (TooManyErrors); the locator system is the only linear system it solves.
+    """
+    return _run(code, word, *_pipeline("pgz"))
 
 
 def bm_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
@@ -405,7 +419,10 @@ def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
 
 def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
                                 locator: Poly, t: int) -> Poly:
-    """Codeword polynomial (degree < k) from the word and its locator."""
+    """Codeword polynomial (degree < k) from the word and its degree-t locator."""
+    if t != locator.degree or not 1 <= t <= code.tau:
+        raise ValueError(f"error count t={t} must be the locator degree {locator.degree} "
+                         f"and satisfy 1 <= t <= tau = {code.tau}")
     word = code._word_array(word)
     evals = code.field.eval_at_powers(word, first=1, count=code.n)
     _, message = _recover(code, word, evals, locator, DecodeTrace())
@@ -416,16 +433,19 @@ def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
              locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray]:
     # lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg(lambda * f_c)
     # < k + t <= n, so the coefficients of x^n and above are exactly those
-    # of x^n * mu.  deg mu < t < n, so (x^n - 1) * mu is -mu at the bottom
-    # and mu from x^n up, with no overlap.
+    # of x^n * mu.  deg lambda = t and deg f_u < n, so they are formed only
+    # from f_u's top t coefficients: coefficient n + i is coefficient t + i
+    # of lambda times their polynomial.  deg mu < t < n, so (x^n - 1) * mu
+    # is -mu at the bottom and mu from x^n up, with no overlap.
     f = code.field
+    t = locator.degree
     if len(evals) < code.n:
         rest = f.eval_at_powers(word, first=code.n - code.k + 1, count=code.k)
         evals = np.concatenate((evals, rest))
     coeffs = f.neg_arr(evals[::-1])  # f_u, as `interpolate_from_evaluations` reads it
-    interp = Poly(f, coeffs.tolist())
-    prod = locator * interp
-    high = prod.coeffs[code.n:]
+    nonzero = np.flatnonzero(coeffs)
+    interp_degree = int(nonzero[-1]) if nonzero.size else -math.inf
+    high = (locator * Poly(f, coeffs[code.n - t:].tolist())).coeffs[t:]
     mu = Poly(f, high)
     wrapped = Poly(f, [f.neg(c) for c in high] + [0] * (code.n - len(high)) + list(high))
     quot, rem = divmod(wrapped, locator)
@@ -440,7 +460,7 @@ def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
     if above.size:
         raise DegreeTooHigh(f"recovered polynomial has degree {code.k + int(above[-1])}, "
                             f"expected < k = {code.k}")
-    trace.interp_degree = interp.degree
+    trace.interp_degree = interp_degree
     trace.high_quotient = mu
     trace.high_coeffs = high
     message = coeffs[:code.k]

@@ -41,8 +41,9 @@ antilog lookup at ((first + r) j + log c_j) mod (q - 1): count x
 algorithm over the whole orbit: n = q - 1 splits into coprime
 prime-power factors n_i (255 = 3 * 5 * 17), each axis is a direct
 length-n_i transform by the `mul_arr` gather against an exponent table,
-with no twiddle factors, and a nonzero `first` is one scaling of c_j by
-alpha^(first j): about n * sum(n_i) products.  An axis pass runs over
+with no twiddle factors: about n * sum(n_i) products.  It yields the
+whole orbit alpha^0, ..., alpha^(n-1), so a window from alpha^first is
+read off it by an index shift, with no product.  An axis pass runs over
 all rows at once: n_i gathers of the whole (rows, n_i) array, one per
 input term, each XORed or added in place into the outputs, then one
 reduction mod p.  A pass of at most `_GATHER_OUTPUTS` outputs (a few
@@ -532,12 +533,10 @@ class Field:
     def _eval_transform(self, plan: "_Plan", c: np.ndarray, first: int,
                         count: int) -> np.ndarray:
         # Good's prime-factor transform of the rows of c over the whole
-        # orbit alpha^0, ..., alpha^(n-1), after scaling c_j by alpha^(first j);
-        # then the count points from alpha^first on are read off.
+        # orbit alpha^0, ..., alpha^(n-1); the count points from alpha^first
+        # on are read off it.
         n = self.q - 1
         b, width = c.shape
-        if first % n:
-            c = self.mul_arr(c, self._exp2_np[first % n * np.arange(width) % n])
         vals = np.zeros((b, n), dtype=np.int64)
         vals[:, :width] = c
         vals = vals[:, plan.perm_in]
@@ -570,7 +569,7 @@ class Field:
                 np.remainder(out, self.p, out=out)
             vals = out.reshape(b, -1, size).transpose(0, 2, 1)
         add_mul_ops(products)
-        return vals.reshape(b, n)[:, plan.out_index[np.arange(count) % n]]
+        return vals.reshape(b, n)[:, plan.out_index[(first + np.arange(count)) % n]]
 
     # ----- identity --------------------------------------------------------------
 

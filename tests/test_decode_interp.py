@@ -227,6 +227,54 @@ def test_recover_degree_guard_detected(rs72):
         recover_codeword_polynomial(rs72, U, Poly(rs72.field, (3, 1)), 1)
 
 
+def test_recover_validates_t(rs72):
+    # t must be the locator's degree, in 1..tau: t != degree, t = 0, t = tau + 1.
+    for coeffs, t in (((2, 1), 2), ((1,), 0), ((1, 2, 3, 1), 3)):
+        with pytest.raises(ValueError, match=f"t={t} must be the locator degree"):
+            recover_codeword_polynomial(rs72, U, Poly(rs72.field, coeffs), t)
+
+
+@pytest.mark.parametrize("q, k, kw", [
+    (7, 2, {"alpha": 5}),
+    (16, 6, {"reduction": 0x19, "alpha": 6}),
+    (256, 223, {}),
+])
+def test_recover_reads_only_the_top_coefficients(q, k, kw):
+    # The recover tail takes mu from the top t coefficients of f_u; its
+    # intermediates equal those of the full product lambda * f_u, lambda
+    # having the t distinct roots alpha^i of the error positions.  About
+    # half of the words have an error with s_0 = e(alpha) = 0, so that
+    # f_u's top coefficient f_(n-1) = -s_0 is zero.
+    code = get_code(q, k, **kw)
+    f = code.field
+    rng = random.Random(q + k)
+    zero_top = 0
+    for _ in range(30):
+        t = rng.randrange(1, code.tau + 1)
+        cw = code.encode([rng.randrange(q) for _ in range(k)])
+        positions = rng.sample(range(code.n), t)
+        values = [rng.randrange(1, q) for _ in range(t)]
+        if t >= 2 and rng.random() < 0.5:
+            rest = 0
+            for pos, v in zip(positions[:-1], values):
+                rest = f.add(rest, f.mul(v, f.pow(f.alpha, pos)))
+            values[-1] = f.neg(f.div(rest, f.pow(f.alpha, positions[-1])))
+        if 0 in values:
+            continue
+        word = list(cw)
+        for pos, v in zip(positions, values):
+            word[pos] = f.add(word[pos], v)
+        out = decode(code, word)
+        assert out.codeword == cw
+        interp = code.interpolate(word)
+        high = (out.locator * interp).coeffs[code.n:]
+        assert out.trace.high_coeffs == high
+        assert out.trace.high_quotient == Poly(f, high)
+        assert out.trace.interp_degree == interp.degree
+        zero_top += interp.degree < code.n - 1
+    assert zero_top > 0
+
+
 # ----- full decode fixtures ---------------------------------------------------------------
 
 def test_decode_single_error_fixture(rs72):

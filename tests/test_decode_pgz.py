@@ -22,6 +22,13 @@ W = (0, 2, 5, 6, 0, 6)
 V = (3, 4, 2, 6, 5, 0)
 
 
+def test_pgz_decode_keeps_its_old_binding():
+    import rscodec.decode_pgz
+
+    assert rscodec.decode_pgz.pgz_decode is rscodec.pgz_decode
+    assert rscodec.decode_pgz.solve_locator is rscodec.solve_locator
+
+
 def test_pgz_single_error_fixture(rs72):
     out = pgz_decode(rs72, U)
     assert out.codeword == (4, 0, 1, 6, 3, 2)

@@ -384,11 +384,12 @@ def test_transform_counts_products_it_forms():
     sizes = [size for size, _ in plan.axes]
     assert sizes == [17, 5, 3]
     # One nonzero coefficient: the first pass forms 17 products, each of
-    # them nonzero, the second 17 x 5 and the third 17 x 5 x 3; a nonzero
-    # `first` adds one for scaling the coefficient.  Zeros form none.
+    # them nonzero, the second 17 x 5 and the third 17 x 5 x 3; a window
+    # from a nonzero `first` is read off the orbit and costs nothing.
+    # Zeros form none.
     one = np.zeros((1, 200), dtype=np.int64)
     one[0, 57] = 9
-    for first, want in ((0, 17 + 85 + 255), (4, 1 + 17 + 85 + 255)):
+    for first, want in ((0, 17 + 85 + 255), (4, 17 + 85 + 255)):
         with gf.MulOpCounter() as ctr:
             f._eval_transform(plan, one, first, 255)
         assert ctr.count == want

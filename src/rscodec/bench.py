@@ -4,8 +4,8 @@ A sweep fixes a code, draws `trials_per_t` random (codeword, corruption)
 pairs for each requested error weight t, runs each configured decoder on
 the same corrupted words, and aggregates per (decoder, t): success and
 failure counts, mean count-stage work counters (rank checks for the
-interpolation decoders, determinant evaluations for PGZ, neither for
-BM), mean field multiplications, and mean wall time.
+interpolation decoders, determinant-scan candidates decided for PGZ,
+neither for BM), mean field multiplications, and mean wall time.
 
 A trial succeeds when the decoder returns exactly the transmitted
 codeword; a DecodeFailure or a different (necessarily verified) codeword

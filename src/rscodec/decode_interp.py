@@ -26,7 +26,11 @@ Count stages, each (code, syndromes) -> (t, locator, trace):
   for lambda (`solve_locator`);
 - the Peterson-Gorenstein-Zierler determinant scan (the largest h <= tau
   with a nonzero h x h Hankel determinant; 0 checks for a codeword,
-  tau - t + 1 on success, tau on failure), then `solve_locator`;
+  tau - t + 1 on success, tau on failure, one check per candidate h
+  decided: one elimination gives the rank r of the tau x tau Hankel
+  matrix H_tau, which decides every h > r (singular) and h = r = tau
+  (nonsingular), and each h <= r below tau takes its own determinant),
+  then `solve_locator`;
 - Berlekamp-Massey (`berlekamp_massey`).  Candidate t passes the rank
   check iff some length-t LFSR generates all n - k syndromes, so the
   paper's t is the sequence's linear complexity L, and lambda is the
@@ -98,9 +102,10 @@ class DecodeTrace:
     """Work counters and intermediate values of one decode call.
 
     rank_checks counts the rank scan's rank-equality tests, det_checks the
-    determinant scan's determinants; a scan that did not run leaves its
-    counter at 0, so Berlekamp-Massey leaves both at 0.  The interp_* and
-    high_* values are set by the recover tail only.
+    determinant scan's candidates h decided (not the determinants it forms:
+    one rank decides every candidate above it); a scan that did not run
+    leaves its counter at 0, so Berlekamp-Massey leaves both at 0.  The
+    interp_* and high_* values are set by the recover tail only.
     """
 
     rank_checks: int = 0
@@ -152,9 +157,13 @@ def pgz_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     """Peterson-Gorenstein-Zierler, for comparison: the determinant scan,
     then the error positions and Forney's values.
 
-    The scan makes 0 determinant checks for a codeword, tau - t + 1 for a
+    The scan decides 0 candidates for a codeword, tau - t + 1 for a
     successful decode of weight t >= 1, and tau when no weight fits
-    (TooManyErrors); the locator system is the only linear system it solves.
+    (TooManyErrors).  One elimination of the tau x tau Hankel matrix gives
+    its rank r and decides every h > r; for t <= tau errors r = t and the
+    t x t determinant is nonzero, so the scan usually forms one rank and
+    one determinant.  The locator system is the only linear system it
+    solves.
     """
     return _run(code, word, *_pipeline("pgz"))
 
@@ -298,13 +307,17 @@ def _rank_scan(code: RSCode, synd: np.ndarray) -> tuple[int, Poly, DecodeTrace]:
 def _determinant_scan(code: RSCode, synd: np.ndarray) -> tuple[int, Poly, DecodeTrace]:
     if not synd.any():
         return 0, Poly.one(code.field), DecodeTrace()
-    for checks, h in enumerate(range(code.tau, 0, -1), start=1):
-        if FeMat._wrap(code.field, _hankel(synd, h, h)).det() != 0:
-            return _with_locator(code, synd, h, DecodeTrace(det_checks=checks))
+    # Each h x h Hankel matrix with h > rank(H_tau) is a leading submatrix
+    # of H_tau, so singular; rank tau proves h = tau nonsingular.
+    tau = code.tau
+    rank = FeMat._wrap(code.field, _hankel(synd, tau, tau)).rank()
+    for h in range(rank, 0, -1):
+        if h == tau or FeMat._wrap(code.field, _hankel(synd, h, h)).det() != 0:
+            return _with_locator(code, synd, h, DecodeTrace(det_checks=tau - h + 1))
     raise TooManyErrors(
-        f"all Hankel determinants up to tau = {code.tau} vanish for a "
+        f"all Hankel determinants up to tau = {tau} vanish for a "
         "nonzero syndrome vector",
-        trace=DecodeTrace(det_checks=code.tau))
+        trace=DecodeTrace(det_checks=tau))
 
 
 def _with_locator(code: RSCode, synd: np.ndarray, t: int,

@@ -21,8 +21,8 @@ def _rows_by(report, decoder):
 
 def test_exact_counter_means_small_code():
     # On RS(7, alpha=5, k=2) the step-1 counters are functions of t alone:
-    # interp does t + 1 rank checks, pgz does tau - t + 1 determinant
-    # evaluations (0 at t = 0), so the means are exact integers.
+    # interp does t + 1 rank checks, pgz decides tau - t + 1 determinant
+    # candidates (0 at t = 0), so the means are exact integers.
     cfg = TrialConfig(code=get_code(7, 2, alpha=5), t_values=(0, 1, 2),
                       trials_per_t=40, seed=123)
     report = run_sweep(cfg)
@@ -45,7 +45,7 @@ def test_exact_counter_means_small_code():
 
 def test_counter_crossover():
     # RS(17, k=4), tau = 6: at t = 1 interpolation does less step-1 work
-    # (2 rank checks vs 6 determinants); at t = tau the order flips
+    # (2 rank checks vs 6 determinant candidates); at t = tau the order flips
     # (7 vs 1).
     cfg = TrialConfig(code=get_code(17, 4), t_values=(0, 1, 2, 3, 4, 5, 6),
                       trials_per_t=25, seed=9)

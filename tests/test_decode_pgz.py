@@ -2,18 +2,23 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rscodec import (
     DECODERS,
     DecodeFailure,
     DecodeTrace,
+    FeMat,
+    MulOpCounter,
     Poly,
     TooManyErrors,
     decode,
     decode_via_positions,
     pgz_decode,
+    solve_locator,
 )
+from rscodec.decode_interp import _determinant_scan, _error_positions_and_values, _run
 
 from .util import corrupt, get_code, get_field, random_word
 
@@ -35,7 +40,8 @@ def test_pgz_single_error_fixture(rs72):
     assert out.error == (0, 2, 0, 0, 0, 0)
     assert out.error_count == 1
     assert out.locator == Poly(rs72.field, (2, 1))
-    # scan h = 2 (singular), then h = 1 (nonsingular): two determinants
+    # rank(H_2) = 1 decides h = 2 (singular), one determinant decides
+    # h = 1 (nonsingular): two candidates decided
     assert out.trace.det_checks == 2
     assert out.trace.rank_checks == 0
 
@@ -60,7 +66,7 @@ def test_pgz_too_many_errors_deterministic():
     code = get_code(7, 4, alpha=5)
     with pytest.raises(TooManyErrors) as exc_info:
         pgz_decode(code, (2, 1, 0, 0, 0, 0))
-    # every h from tau down to 1 was tried
+    # every h from tau down to 1 was decided, each one singular
     assert exc_info.value.trace.det_checks == code.tau
 
 
@@ -70,7 +76,7 @@ def test_pgz_validates_word(rs72):
 
 
 def test_pgz_det_check_law():
-    # on success with t >= 1 errors the scan costs tau - t + 1 determinants
+    # on success with t >= 1 errors the scan decides tau - t + 1 candidates
     rng = random.Random(31)
     for q, k in ((13, 4), (17, 6)):
         code = get_code(q, k)
@@ -131,3 +137,89 @@ def test_pgz_roundtrip_binary_field():
         out = pgz_decode(code, u)
         assert out.codeword == cw
         assert out.error_count == t
+
+
+def _descending_scan(code, synd):
+    """The classic PGZ count stage: one determinant for each h = tau, ..., 1."""
+    if not synd.any():
+        return 0, Poly.one(code.field), DecodeTrace()
+    for checks, h in enumerate(range(code.tau, 0, -1), start=1):
+        trace = DecodeTrace(det_checks=checks)
+        if FeMat._wrap(code.field, synd[np.add.outer(np.arange(h), np.arange(h))]).det():
+            try:
+                return h, solve_locator(code, synd, h), trace
+            except DecodeFailure as exc:
+                exc.trace = trace
+                raise
+    raise TooManyErrors(f"all Hankel determinants up to tau = {code.tau} vanish for a "
+                        "nonzero syndrome vector", trace=DecodeTrace(det_checks=code.tau))
+
+
+def _counted(fn, *args):
+    with MulOpCounter() as ctr:
+        try:
+            out = fn(*args)
+        except DecodeFailure as exc:
+            out = exc
+    if isinstance(out, DecodeFailure):
+        return ctr.count, (type(out), str(out), out.trace)
+    if isinstance(out, tuple):  # a count stage's (t, locator, trace)
+        return ctr.count, out
+    return ctr.count, (out.codeword, out.error, out.error_count, out.locator,
+                       out.trace, out.message)
+
+
+def test_determinant_scan_matches_descending_scan():
+    # Starting the scan at h = rank(H_tau) decides the same h as the classic
+    # scan from tau down, with the same det_checks, locator and failures, and
+    # never forms more products: rank(H_tau) is the elimination det(H_tau)
+    # makes, and the scan's determinants are a subset of the classic ones.
+    rng = random.Random(34)
+    codes = [(get_code(7, 2, alpha=5), range(0, 5)),
+             (get_code(7, 5), range(0, 3)),  # tau = 0: H_tau is 0 x 0
+             (get_code(11, 3), range(0, 7)),
+             (get_code(16, 6, reduction=0x19, alpha=6), range(0, 7)),
+             (get_code(256, 223), range(0, 19)),
+             (get_code(256, 4), (0, 123, 124, 125, 126, 127)),
+             (get_code(257, 200), range(0, 31))]
+    kinds = set()
+    for code, weights in codes:
+        q, r = code.field.q, code.n - code.k
+        words = [corrupt(rng, code, code.encode([rng.randrange(q) for _ in range(code.k)]), t)
+                 for t in weights]
+        words += [random_word(rng, code) for _ in range(4)]
+        for u in words:
+            new_count, new = _counted(pgz_decode, code, u)
+            ref_count, ref = _counted(_run, code, u, _descending_scan,
+                                      _error_positions_and_values)
+            assert new == ref, (code, u)
+            assert new_count <= ref_count, (code, u)
+            kinds.add(new[0] if isinstance(new[0], type) else "decoded")
+        sparse = [[r - 1]] + [rng.sample(range(r), min(r, w)) for w in (1, 2, 3)]
+        for support in sparse:
+            synd = np.zeros(r, dtype=np.int64)
+            synd[support] = [rng.randrange(1, q) for _ in support]
+            new_count, new = _counted(_determinant_scan, code, synd)
+            ref_count, ref = _counted(_descending_scan, code, synd)
+            assert new == ref, (code, synd)
+            assert new_count <= ref_count, (code, synd)
+            kinds.add(new[0] if isinstance(new[0], type) else "located")
+    assert {TooManyErrors, "decoded", "located"} <= kinds
+
+
+def test_determinant_scan_cost():
+    # One elimination of H_tau decides every h above its rank t, and one
+    # t x t determinant decides h = t: on the t = 50 word of RS(255,4),
+    # 627 664 products, where a determinant for each h = 125, ..., 50 takes
+    # 17 653 911.  Both counts are deterministic.
+    rng = random.Random(256)
+    code = get_code(256, 4)
+    cw = code.encode([rng.randrange(256) for _ in range(4)])
+    word = corrupt(rng, code, cw, 50)
+    with MulOpCounter() as ctr:
+        out = pgz_decode(code, word)
+    assert out.codeword == cw and out.trace.det_checks == 76
+    assert ctr.count < 2 * 10 ** 6
+    code = get_code(256, 223)
+    word = corrupt(rng, code, code.encode([rng.randrange(256) for _ in range(223)]), 1)
+    assert pgz_decode(code, word).trace.det_checks == 16

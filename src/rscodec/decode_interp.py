@@ -39,15 +39,23 @@ Count stages, each (code, syndromes) -> (t, locator, trace):
   SingularLocatorSystem, exactly where the rank scan and `solve_locator`
   fail.  It leaves both trace counters at 0.
 
-Tails: the paper's recover (`_recover`) extends the syndromes by the
-other k evaluations, unless it is given all n, to the interpolation
-polynomial f_u (degree < n).
+Tails: the paper's recover (`_recover`) reads f_u's coefficients
+k, ..., n - 1 off the syndromes, f_i = -s_(n-1-i), where f_u (degree < n)
+is the word's interpolation polynomial.
 lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg f_c < k, so mu is
 the coefficients of x^n and above, which only the top t coefficients of
-f_u reach: mu is coefficients t, ..., 2t - 1 of lambda times
-f_(n-t) + ... + f_(n-1) x^(t-1), a (t + 1) x t product.  Then
-f_c = f_u - (x^n - 1) * mu / lambda with the division exact, and the
-codeword is f_c evaluated at alpha^0, ..., alpha^(n-1).  Positions
+f_u reach: mu_i = -(lambda_(i+1) s_0 + ... + lambda_t s_(t-1-i)), one
+t x t gather and one product.  Then f_c = f_u - Q for the exact quotient
+Q = (x^n - 1) * mu / lambda, which follows lambda's t-term recurrence
+from the top: t scalar steps driven by mu, then blocks of B coefficients,
+each one gather and one reduction against a B x t impulse-response block
+(`_wrapped_quotient`); the t remainder coefficients decide whether the
+division is exact.  f_c's coefficients k and above are f_u's minus Q's,
+so the degree check needs no other evaluation, and the codeword is
+c_j = u_j - Q(alpha^j): one evaluation of Q on the orbit.  Where that
+would form more products than the word's other k evaluations, which give
+low(u) (a low-rate code, or a small field), the tail takes those instead,
+and the codeword is the encoding of the message low(u) - low(Q).  Positions
 (`_error_positions_and_values`) reads the error positions off the
 locator's roots (a Chien search) and takes the error values from
 Forney's formula, which gives the solution of the t x t value system
@@ -62,16 +70,16 @@ correction radius either raise DecodeFailure or decode to some codeword
 genuinely within distance tau.
 
 One word (`_run`) evaluates its n - k syndromes by the direct sum, and
-its message only when asked.  A chunk of words (`decode_blocks`)
-evaluates every word at all of alpha^1, ..., alpha^n in one call, which
-takes the batched transform: the first n - k values of a row are its
-syndromes, and the last k, negated and reversed, are the low part
-low(u) = (f_0, ..., f_(k-1)) of its interpolation polynomial.  Each row
-then runs the same per-row body (`_decode_row`) as `_run`, and its
-message comes from that evaluation: low(u) itself when t = 0, the recover
-tail's polynomial, or low(u) - low(e) after the positions tail, low(e)
-being k t products on the t-sparse error.  A failed row keeps low(u) as
-its best-effort estimate.
+its message only when asked, unless its tail already holds it.  A chunk
+of words (`decode_blocks`) evaluates every word at all of alpha^1, ...,
+alpha^n in one call, which takes the batched transform: the first n - k
+values of a row are its syndromes, and the last k, negated and reversed,
+are the low part low(u) = (f_0, ..., f_(k-1)) of its interpolation
+polynomial.  Each row then runs the same per-row body (`_decode_row`) as
+`_run`, and its message comes from that evaluation: low(u) itself when
+t = 0, low(u) - low(Q) after the recover tail, or low(u) - low(e) after
+the positions tail, low(e) being k t products on the t-sparse error.  A
+failed row keeps low(u) as its best-effort estimate.
 """
 
 from __future__ import annotations
@@ -92,7 +100,7 @@ from .exceptions import (
     VerifyFailed,
 )
 from .femat import FeMat
-from .gf import add_mul_ops, mul_ops_total
+from .gf import Field, add_mul_ops, mul_ops_total
 from .poly import Poly
 from .rscode import RSCode
 
@@ -120,9 +128,10 @@ class DecodeOutcome:
     """A successful decode: the nearest codeword and how it was found.
 
     `message` is the k message symbols of `codeword`, the coefficients of
-    its polynomial of degree < k.  The recover tail and `decode_blocks`
-    hold it already; otherwise it is computed on first access, from k
-    evaluations of the decoder's codeword array.
+    its polynomial of degree < k.  `decode_blocks` holds it already, as
+    does the recover tail where it took the word's low part; otherwise it
+    is computed on first access, from k evaluations of the decoder's
+    codeword array.
     """
 
     codeword: tuple[int, ...]
@@ -436,6 +445,8 @@ def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
     if t != locator.degree or not 1 <= t <= code.tau:
         raise ValueError(f"error count t={t} must be the locator degree {locator.degree} "
                          f"and satisfy 1 <= t <= tau = {code.tau}")
+    if locator.coeffs[-1] != 1:  # the monic multiple has the same roots
+        locator = locator.scale(code.field.inv(locator.coeffs[-1]))
     word = code._word_array(word)
     evals = code.field.eval_at_powers(word, first=1, count=code.n)
     _, message = _recover(code, word, evals, locator, DecodeTrace())
@@ -443,42 +454,150 @@ def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
 
 
 def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
-             locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray]:
+             locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray | None]:
+    # For the monic locator lambda,
     # lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg(lambda * f_c)
     # < k + t <= n, so the coefficients of x^n and above are exactly those
     # of x^n * mu.  deg lambda = t and deg f_u < n, so they are formed only
-    # from f_u's top t coefficients: coefficient n + i is coefficient t + i
-    # of lambda times their polynomial.  deg mu < t < n, so (x^n - 1) * mu
-    # is -mu at the bottom and mu from x^n up, with no overlap.
+    # from f_u's top t coefficients f_(n-t+j) = -s_(t-1-j): coefficient
+    # n + i is mu_i = -(lambda_(i+1) s_0 + ... + lambda_t s_(t-1-i)).  Every
+    # coefficient f_i = -s_(n-1-i) with i >= k is a negated syndrome, so the
+    # degree checks need no other evaluation of the word.
     f = code.field
-    t = locator.degree
-    if len(evals) < code.n:
-        rest = f.eval_at_powers(word, first=code.n - code.k + 1, count=code.k)
-        evals = np.concatenate((evals, rest))
-    coeffs = f.neg_arr(evals[::-1])  # f_u, as `interpolate_from_evaluations` reads it
-    nonzero = np.flatnonzero(coeffs)
-    interp_degree = int(nonzero[-1]) if nonzero.size else -math.inf
-    high = (locator * Poly(f, coeffs[code.n - t:].tolist())).coeffs[t:]
-    mu = Poly(f, high)
-    wrapped = Poly(f, [f.neg(c) for c in high] + [0] * (code.n - len(high)) + list(high))
-    quot, rem = divmod(wrapped, locator)
-    if not rem.is_zero():
+    n, k = code.n, code.k
+    synd = evals[:n - k]
+    lam = np.asarray(locator.coeffs, dtype=np.int64)
+    t = len(lam) - 1
+    window = _hankel(np.concatenate((lam[1:], np.zeros(t - 1, dtype=np.int64))), t, t)
+    mu = f.neg_arr(_field_sum(f, f.mul_arr(window, synd[:t])))
+    quot, rem = _wrapped_quotient(f, lam, mu, n)
+    if rem.any():
         raise InexactDivision(
             "locator does not divide the wrapped high part; it cannot "
             "explain the received word")
-    # f_c = f_u - quot, in place on f_u's coefficients; deg quot < n
-    lo = len(quot.coeffs)
-    coeffs[:lo] = f.sub_arr(coeffs[:lo], np.asarray(quot.coeffs, dtype=np.int64))
-    above = np.flatnonzero(coeffs[code.k:])
+    # f_c = f_u - quot; its coefficients k, ..., n - 1 must vanish
+    above = np.flatnonzero(f.sub_arr(f.neg_arr(synd[::-1]), quot[k:]))
     if above.size:
-        raise DegreeTooHigh(f"recovered polynomial has degree {code.k + int(above[-1])}, "
-                            f"expected < k = {code.k}")
-    trace.interp_degree = interp_degree
-    trace.high_quotient = mu
-    trace.high_coeffs = high
-    message = coeffs[:code.k]
-    cw = f.eval_at_powers(message, first=0, count=code.n)
-    return cw, message
+        raise DegreeTooHigh(f"recovered polynomial has degree {k + int(above[-1])}, "
+                            f"expected < k = {k}")
+    # deg f_u = n - 1 - j for the first nonzero evaluation u(alpha^(j+1)):
+    # a syndrome, as the pipeline's tail runs only on a word that is not a
+    # codeword, or any of the n evaluations `recover_codeword_polynomial`
+    # passes.
+    nonzero = np.flatnonzero(evals)
+    trace.interp_degree = n - 1 - int(nonzero[0]) if nonzero.size else -math.inf
+    trace.high_quotient = Poly(f, mu.tolist())
+    trace.high_coeffs = trace.high_quotient.coeffs
+    if len(evals) < n and (f.eval_products(n, int(np.count_nonzero(quot)))
+                           > f.eval_products(k, int(np.count_nonzero(word)))):
+        # quot on the orbit would form more products than the word's other
+        # k evaluations, which give the message (then encoded) instead.
+        evals = np.concatenate((evals, f.eval_at_powers(word, first=n - k + 1, count=k)))
+    if len(evals) == n:
+        message = f.sub_arr(code.low_from_evaluations(evals[n - k:]), quot[:k])
+        return f.eval_at_powers(message, first=0, count=n), message
+    # c_j = f_c(alpha^j) = u_j - quot(alpha^j), as f_u(alpha^j) = u_j.
+    return f.sub_arr(word, f.eval_at_powers(quot, first=0, count=n)), None
+
+
+def _wrapped_quotient(f: Field, lam: np.ndarray, mu: np.ndarray, n: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of (x^n - 1) * mu by the monic lambda.
+
+    `lam` holds lambda's t + 1 coefficients (t >= 1, lam[t] = 1) and `mu`
+    t coefficients, trailing zeros allowed; t <= n.  Returns the quotient's
+    n coefficients and the remainder's t, as int64 arrays, equal to those
+    of `Poly.__divmod__` on the wrapped dividend.
+
+    Long division from the top makes q_i = w_(i+t) - sum_(l=1..t)
+    lambda_(t-l) q_(i+l) for the dividend w = x^n mu - mu, whose part -mu
+    has degree < t and so enters only the remainder.  The top t quotient
+    coefficients are t scalar steps driven by mu.  Below them lambda's
+    recurrence is homogeneous, so the next B coefficients q_(i-1), ...,
+    q_(i-B) are H S_i for the state S_i = (q_i, ..., q_(i+t-1)) and a
+    B x t impulse-response block H whose rows are h_1 = c = (-lambda_(t-1),
+    ..., -lambda_0) and h_(b+1) = h_b[0] c + (h_b[1:], 0), one companion
+    step each; each block of B coefficients is then one gather and one
+    reduction.  The remainder is r_m = -mu_m - sum_(j<=m) lambda_(m-j) q_j.
+    Products of two nonzero elements are counted: at most t(t-1)/2 for the
+    top, (B-1)t for H, (n-t)t for the blocks and t(t+1)/2 for the remainder.
+    """
+    t = len(lam) - 1
+    exp2, log = f._exp2, f.log
+    prime, p = f.kind == "prime", f.p
+    muls = 0
+    # (l, log lambda_(t-l)) for the nonzero lambda_(t-1), ..., lambda_0
+    lam_terms = [(l, log[c]) for l, c in enumerate(lam[::-1].tolist()) if l and c]
+    top = mu.tolist()  # q_(n-t), ..., q_(n-1)
+    top_logs = [-1] * t
+    for m in range(t - 1, -1, -1):
+        acc = top[m]
+        for l, cl in lam_terms:
+            if m + l >= t:
+                break
+            al = top_logs[m + l]
+            if al >= 0:
+                muls += 1
+                acc = acc - exp2[cl + al] if prime else acc ^ exp2[cl + al]
+        if prime:
+            acc %= p
+        top[m] = acc
+        top_logs[m] = log[acc] if acc else -1
+    quot = np.zeros(n, dtype=np.int64)
+    quot[n - t:] = top
+    # Rows h_1, ..., h_B of H from c_l = -lambda_(t-1-l); log 0 is -1.
+    h = [(-x) % p if prime else x for x in lam[t - 1::-1].tolist()]
+    c_logs = [log[x] for x in h]
+    c_nonzero = t - c_logs.count(-1)
+    block = [h]
+    for _ in range(_block_rows(n, t) - 1):
+        x, h = h[0], h[1:] + [0]
+        if x:
+            xl = log[x]
+            muls += c_nonzero
+            if prime:
+                h = [(a + exp2[xl + cl]) % p if cl >= 0 else a for a, cl in zip(h, c_logs)]
+            else:
+                h = [a ^ exp2[xl + cl] if cl >= 0 else a for a, cl in zip(h, c_logs)]
+        block.append(h)
+    # Row b - 1 of `block` gives q_(i-b) from S_i; reversed, the last b
+    # rows give q_(i-b), ..., q_(i-1) in order.
+    block_logs = f._log_np[np.array(block[::-1], dtype=np.int64)]
+    exp2_np, log_np = f._exp2_np, f._log_np
+    i = n - t
+    while i > 0:
+        b = min(len(block), i)
+        terms = exp2_np[block_logs[-b:] + log_np[quot[i:i + t]]]
+        muls += int(np.count_nonzero(terms))
+        quot[i - b:i] = _field_sum(f, terms)
+        i -= b
+    add_mul_ops(muls)
+    # lower-triangular Toeplitz [lambda_(m-j)]: row m of the Hankel matrix
+    # of (0, ..., 0, lambda_0, ..., lambda_(t-1)), columns reversed
+    lower = _hankel(np.concatenate((np.zeros(t - 1, dtype=np.int64), lam[:t])), t, t)[:, ::-1]
+    rem = f.sub_arr(f.neg_arr(mu), _field_sum(f, f.mul_arr(lower, quot[:t])))
+    return quot, rem
+
+
+def _block_rows(n: int, t: int) -> int:
+    """Rows B of the quotient's impulse-response block for the n - t
+    coefficients below the top t.
+
+    B - 1 companion steps, each a Python pass over t entries, against
+    ceil((n - t) / B) block steps of a few numpy calls each.  A block step
+    costs about as much as a companion step over 50 entries (2 vCPU,
+    Python 3.11, numpy 2.4), so (B - 1)(t + 4) + 50 (n - t) / B is least
+    near B = sqrt(50 (n - t) / (t + 4)): on RS(255,223) B = 50, 32 and 24
+    at t = 1, 8 and 16.
+    """
+    return max(1, min(n - t, math.isqrt(50 * (n - t) // (t + 4))))
+
+
+def _field_sum(f: Field, terms: np.ndarray) -> np.ndarray:
+    """The field sum of `terms` along its last axis."""
+    if f.kind == "prime":
+        return terms.sum(axis=-1) % f.p
+    return np.bitwise_xor.reduce(terms, axis=-1)
 
 
 def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray,

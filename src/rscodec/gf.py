@@ -499,6 +499,14 @@ class Field:
                 self._eval_direct(rows[i], first, out[i])
         return out if c.ndim == 2 else out[0]
 
+    def eval_products(self, count: int, nonzero: int) -> int:
+        """Most products `eval_at_powers` forms for `count` points of one
+        polynomial with `nonzero` nonzero coefficients: the direct sum's
+        count x nonzero, or n * sum(n_i) where it takes the transform."""
+        plan = self._transform_plan()
+        direct = count * nonzero
+        return plan.cost if plan and direct > _TRANSFORM_COST * plan.cost else direct
+
     def _eval_direct(self, c: np.ndarray, first: int, out: np.ndarray) -> None:
         # The direct sum into the zeros of `out`: one term per (point,
         # nonzero coefficient) pair.

@@ -163,7 +163,7 @@ class Poly:
             else:
                 for j, dl in terms:
                     rem[i + j] ^= exp2[lc + dl]
-        add_mul_ops(1 + steps * (len(terms) + 2))
+        add_mul_ops(1 + steps * (len(terms) + 1))
         return Poly(f, quot), Poly(f, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":

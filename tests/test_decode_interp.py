@@ -31,11 +31,12 @@ from rscodec.decode_interp import (
     _error_positions_and_values,
     _rank_scan,
     _run,
+    _wrapped_quotient,
     decode_blocks,
 )
 from rscodec.oracle import brute_nearest
 
-from .util import ball_volume, corrupt, get_code, random_word, whole_space_accepted
+from .util import ball_volume, corrupt, get_code, get_field, random_word, whole_space_accepted
 
 U = (4, 2, 1, 6, 3, 2)   # codeword of (5, 6) with error 2 at position 1
 W = (0, 2, 5, 6, 0, 6)   # codeword of (3, 4) with errors at positions 4, 5
@@ -171,6 +172,55 @@ def test_rank_scan_cost():
     assert ctr.count < 5 * 10 ** 6
 
 
+def test_recover_tail_cost_and_structure(monkeypatch):
+    # A one-word RS(255,223) decode at t = 16: after the syndromes the
+    # recover tail evaluates the whole orbit once (the quotient, which gives
+    # the codeword; verify then evaluates the sparse error at the n - k
+    # syndrome points), forms no Poly product or long division, and counts
+    # 23 681 products, where the long division and two orbit evaluations
+    # of the word and the message counted 30 650.  Deterministic.
+    rng = random.Random(223)
+    code = get_code(256, 223)
+    cw = code.encode([rng.randrange(256) for _ in range(223)])
+    word = corrupt(rng, code, cw, 16)
+    calls, transforms = [], []
+    field_cls = type(code.field)
+    eval_at_powers, eval_transform = field_cls.eval_at_powers, field_cls._eval_transform
+
+    def recording_eval(self, coeffs, first=0, count=None):
+        calls.append((first, count))
+        return eval_at_powers(self, coeffs, first, count)
+
+    def recording_transform(self, *args):
+        transforms.append(args[-1])
+        return eval_transform(self, *args)
+
+    def forbidden(*args):
+        raise AssertionError("the recover tail works on arrays only")
+
+    monkeypatch.setattr(field_cls, "eval_at_powers", recording_eval)
+    monkeypatch.setattr(field_cls, "_eval_transform", recording_transform)
+    monkeypatch.setattr(Poly, "__mul__", forbidden)
+    monkeypatch.setattr(Poly, "__divmod__", forbidden)
+    with gf.MulOpCounter() as ctr:
+        out = decode(code, word)
+    assert out.codeword == cw and out.error_count == 16
+    r = code.n - code.k
+    assert calls == [(1, r), (0, code.n), (1, r)]
+    assert transforms == [code.n]
+    assert ctr.count < 25_000
+    # On RS(255,4) the word's other 4 evaluations and the message's
+    # encoding, 2 x 1 020 products, cost less than the quotient on the
+    # orbit, 6 375; the tail takes them and holds the message.
+    code = get_code(256, 4)
+    cw = code.encode([rng.randrange(256) for _ in range(4)])
+    word = corrupt(rng, code, cw, 1)
+    calls.clear()
+    out = decode(code, word)
+    assert out.codeword == cw and out._message is not None
+    assert calls == [(1, 251), (252, 4), (0, 255), (1, 251)]
+
+
 # ----- step 2: locator --------------------------------------------------------------
 
 def test_locator_fixtures(rs72):
@@ -211,6 +261,9 @@ def test_recover_fixtures(rs72):
     gc = recover_codeword_polynomial(rs72, U, Poly(f7, (2, 1)), 1)
     assert gc == Poly(f7, (5, 6))
     gc = recover_codeword_polynomial(rs72, W, Poly(f7, (6, 2, 1)), 2)
+    assert gc == Poly(f7, (3, 4))
+    # a scaled locator has the same roots and gives the same polynomial
+    gc = recover_codeword_polynomial(rs72, W, Poly(f7, (6, 2, 1)).scale(3), 2)
     assert gc == Poly(f7, (3, 4))
 
 
@@ -273,6 +326,54 @@ def test_recover_reads_only_the_top_coefficients(q, k, kw):
         assert out.trace.interp_degree == interp.degree
         zero_top += interp.degree < code.n - 1
     assert zero_top > 0
+
+
+@pytest.mark.parametrize("q, kw", [
+    (7, {"alpha": 5}),
+    (13, {}),
+    (257, {}),  # the prime-field branch on the largest n here
+    (16, {"reduction": 0x19, "alpha": 6}),
+    (256, {}),
+])
+def test_wrapped_quotient_matches_long_division(q, kw):
+    # The recover tail's blocked quotient of (x^n - 1) mu by a monic lambda
+    # of degree t <= tau equals `Poly.__divmod__` of the wrapped dividend,
+    # quotient and remainder, whether lambda divides it (a product of
+    # distinct x - alpha^i divides x^n - 1) or not.  lambda may have zero
+    # inner coefficients or lambda(0) = 0, and mu trailing zeros.
+    f = get_field(q, **kw)
+    n = q - 1
+    tau = (n - 1) // 2
+    rng = random.Random(q)
+    degrees = range(1, tau + 1) if tau <= 7 else [1, 2, 3, 5, 8, 16, tau]
+    verdicts = set()
+    for t in degrees:
+        for case in range(6):
+            if case == 0:
+                lam = Poly.one(f)
+                for i in rng.sample(range(n), t):
+                    lam = lam * Poly(f, (f.neg(f.exp[i]), 1))
+                lam = lam.coeffs
+            else:
+                lam = [rng.randrange(q) for _ in range(t)] + [1]
+                if case == 1:
+                    lam[0] = 0
+                if case == 2 and t > 1:
+                    for i in rng.sample(range(1, t), (t + 1) // 2):
+                        lam[i] = 0
+            mu = [rng.randrange(q) for _ in range(t)]
+            if case >= 3:
+                zeros = t if case == 5 else rng.randrange(1, t + 1)
+                mu[t - zeros:] = [0] * zeros
+            high = Poly(f, mu)
+            wrapped = high.shifted(n) - high
+            quot, rem = _wrapped_quotient(f, np.array(lam, dtype=np.int64),
+                                          np.array(mu, dtype=np.int64), n)
+            assert quot.shape == (n,) and rem.shape == (t,)
+            want = divmod(wrapped, Poly(f, lam))
+            assert (Poly(f, quot.tolist()), Poly(f, rem.tolist())) == want, (t, case)
+            verdicts.add(want[1].is_zero())
+    assert verdicts == {True, False}
 
 
 # ----- full decode fixtures ---------------------------------------------------------------

@@ -412,16 +412,18 @@ def test_evaluation_path_rule():
     rng = random.Random(4)
     msg = [rng.randrange(256) for _ in range(223)]
     # An encode (255 points of 223 coefficients) takes the transform...
+    # `eval_products` states the rule: the most products a call forms.
     with gf.MulOpCounter() as ctr:
         cw = code.encode(msg)
-    assert ctr.count <= 255 * 25
+    assert ctr.count <= code.field.eval_products(255, 223) == 255 * 25
     # ...the 32 syndromes of a dense word keep the direct sum.
     word = list(cw)
     word[0] ^= 1
     word[1] = 0
     with gf.MulOpCounter() as ctr:
         code.syndromes(word)
-    assert ctr.count == 32 * sum(1 for c in word if c)
+    nnz = sum(1 for c in word if c)
+    assert ctr.count == 32 * nnz == code.field.eval_products(32, nnz)
     # Fields whose group order is a prime power have no transform: every
     # evaluation is the direct sum, counting count x nnz.
     for q in (8, 17, 257, 8192):
@@ -430,7 +432,7 @@ def test_evaluation_path_rule():
         coeffs = [rng.randrange(1, q) for _ in range(min(q - 1, 600))]
         with gf.MulOpCounter() as ctr:
             f.eval_at_powers(coeffs, first=1)
-        assert ctr.count == (q - 1) * len(coeffs)
+        assert ctr.count == (q - 1) * len(coeffs) == f.eval_products(q - 1, len(coeffs))
 
 
 def test_transform_memory_is_bounded():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rscodec import Poly
+from rscodec import Poly, gf
 
 from .util import get_field, random_poly
 
@@ -107,6 +107,25 @@ def test_divmod_fixtures(f7):
     assert divmod(a, a) == (Poly.one(f7), Poly.zero(f7))
     # degree(num) < degree(den): quotient zero
     assert divmod(P(f7, 1), P(f7, 0, 1)) == (Poly.zero(f7), P(f7, 1))
+
+
+def test_divmod_mul_count(f7):
+    # The inverse of the lead, then per nonzero step one product for the
+    # quotient coefficient and one per nonzero lower divisor coefficient.
+    cases = [
+        # x^2 / (x + 1) = x + 6, remainder 1: two steps of 1 + 1
+        ((0, 0, 1), (1, 1), (6, 1), (1,), 5),
+        # x^2 / (2x + 1) = 4x + 5, remainder 2: non-monic, the same count
+        ((0, 0, 1), (1, 2), (5, 4), (2,), 5),
+        # (x^3 + 1) / (x^2 + 3) = x, remainder 4x + 1: d_1 = 0 is no term,
+        # and the step with a zero leading remainder forms nothing
+        ((1, 0, 0, 1), (3, 0, 1), (0, 1), (1, 4), 3),
+    ]
+    for num, den, quot, rem, count in cases:
+        with gf.MulOpCounter() as ctr:
+            got = divmod(Poly(f7, num), Poly(f7, den))
+        assert got == (Poly(f7, quot), Poly(f7, rem))
+        assert ctr.count == count, (num, den)
 
 
 def test_division_by_zero_raises(f7):

@@ -5,7 +5,7 @@ All decoders must accept the same words with the same codewords, and the
 number accepted must equal the ball volume q^k * sum_(i <= tau) C(n, i)
 (q-1)^i, so no word past the radius is accepted and none within it is
 missed.  Each space takes minutes, too slow for the tier-1 suite, which
-runs the GF(5) spaces (`test_whole_space_ball_volume`).
+runs the GF(5) spaces and GF(4) k = 1 (`test_whole_space_ball_volume`).
 
 Run from the repository root:
 

@@ -44,18 +44,20 @@ k, ..., n - 1 off the syndromes, f_i = -s_(n-1-i), where f_u (degree < n)
 is the word's interpolation polynomial.
 lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg f_c < k, so mu is
 the coefficients of x^n and above, which only the top t coefficients of
-f_u reach: mu_i = -(lambda_(i+1) s_0 + ... + lambda_t s_(t-1-i)), one
-t x t gather and one product.  Then f_c = f_u - Q for the exact quotient
-Q = (x^n - 1) * mu / lambda, which follows lambda's t-term recurrence
-from the top: t scalar steps driven by mu, then blocks of B coefficients,
-each one gather and one reduction against a B x t impulse-response block
-(`_wrapped_quotient`); the t remainder coefficients decide whether the
-division is exact.  f_c's coefficients k and above are f_u's minus Q's,
-so the degree check needs no other evaluation, and the codeword is
-c_j = u_j - Q(alpha^j): one evaluation of Q on the orbit.  Where that
-would form more products than the word's other k evaluations, which give
-low(u) (a low-rate code, or a small field), the tail takes those instead,
-and the codeword is the encoding of the message low(u) - low(Q).  Positions
+f_u reach: mu_(t-1-r) = -Omega_r for Forney's error evaluator Omega
+(`_error_evaluator`, which the positions tail shares).  Then f_c = f_u - Q
+for the exact quotient Q = (x^n - 1) * mu / lambda, whose top t
+coefficients are f_u's and whose others follow lambda's t-term recurrence
+(Q is the interpolation polynomial of the t-sparse error): blocks of B
+coefficients, each one gather and one reduction against a B x t
+impulse-response block (`_wrapped_quotient`).  Run t steps past index 0,
+the recurrence closes up on the top t iff the division is exact.  f_c's
+coefficients k and above are f_u's minus Q's, so the degree check needs
+no other evaluation, and the codeword is c_j = u_j - Q(alpha^j): one
+evaluation of Q on the orbit.  Where that would form more products than
+the word's other k evaluations, which give low(u) (a low-rate code, or a
+small field), the tail takes those instead, and the codeword is the
+encoding of the message low(u) - low(Q).  Positions
 (`_error_positions_and_values`) reads the error positions off the
 locator's roots (a Chien search) and takes the error values from
 Forney's formula, which gives the solution of the t x t value system
@@ -270,7 +272,6 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
     """
     s = _check_syndromes(code, syndromes)
     f = code.field
-    accumulate = np.add if f.kind == "prime" else np.bitwise_xor
     basis = np.zeros((code.tau, len(s)), dtype=np.int64)  # rows [0, len(pivots))
     pivots: list[int] = []
     inv_pivots = np.zeros(code.tau, dtype=np.int64)  # 1 / b[p], row by row
@@ -285,7 +286,7 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
         left = s[t:]
         if rank:
             coef = f.mul_arr(left[pivots], inv_pivots[:rank])
-            left = f.sub_arr(left, accumulate.reduce(f.mul_arr(coef[:, None], rows), axis=0))
+            left = f.sub_arr(left, f.sum_arr(f.mul_arr(coef[:, None], rows), axis=0))
         nonzero = left.nonzero()[0]
         if not nonzero.size:
             return t
@@ -447,31 +448,49 @@ def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
                          f"and satisfy 1 <= t <= tau = {code.tau}")
     if locator.coeffs[-1] != 1:  # the monic multiple has the same roots
         locator = locator.scale(code.field.inv(locator.coeffs[-1]))
-    word = code._word_array(word)
-    evals = code.field.eval_at_powers(word, first=1, count=code.n)
-    _, message = _recover(code, word, evals, locator, DecodeTrace())
-    return Poly(code.field, message.tolist())
+    f, n, k = code.field, code.n, code.k
+    evals = f.eval_at_powers(code._word_array(word), first=1, count=n)
+    quot = _recovered_quotient(code, evals, locator, DecodeTrace())
+    return Poly(f, f.sub_arr(code.low_from_evaluations(evals[n - k:]), quot[:k]).tolist())
 
 
 def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
              locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray | None]:
-    # For the monic locator lambda,
-    # lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg(lambda * f_c)
-    # < k + t <= n, so the coefficients of x^n and above are exactly those
-    # of x^n * mu.  deg lambda = t and deg f_u < n, so they are formed only
-    # from f_u's top t coefficients f_(n-t+j) = -s_(t-1-j): coefficient
-    # n + i is mu_i = -(lambda_(i+1) s_0 + ... + lambda_t s_(t-1-i)).  Every
-    # coefficient f_i = -s_(n-1-i) with i >= k is a negated syndrome, so the
-    # degree checks need no other evaluation of the word.
+    f = code.field
+    n, k = code.n, code.k
+    quot = _recovered_quotient(code, evals, locator, trace)
+    if len(evals) < n and (f.eval_products(n, int(np.count_nonzero(quot)))
+                           > f.eval_products(k, int(np.count_nonzero(word)))):
+        # quot on the orbit would form more products than the word's other
+        # k evaluations, which give the message (then encoded) instead.
+        evals = np.concatenate((evals, f.eval_at_powers(word, first=n - k + 1, count=k)))
+    if len(evals) == n:
+        message = f.sub_arr(code.low_from_evaluations(evals[n - k:]), quot[:k])
+        return f.eval_at_powers(message, first=0, count=n), message
+    # c_j = f_c(alpha^j) = u_j - quot(alpha^j), as f_u(alpha^j) = u_j.
+    return f.sub_arr(word, f.eval_at_powers(quot, first=0, count=n)), None
+
+
+def _recovered_quotient(code: RSCode, evals: np.ndarray, locator: Poly,
+                        trace: DecodeTrace) -> np.ndarray:
+    """The exact quotient Q = (x^n - 1) mu / lambda of the monic locator,
+    so that f_c = f_u - Q; raises InexactDivision or DegreeTooHigh, then
+    fills the trace's interp_* and high_* values.
+
+    For the monic locator lambda, lambda * f_u = lambda * f_c + (x^n - 1)
+    * mu with deg(lambda * f_c) < k + t <= n, so mu is the coefficients of
+    x^n and above, formed only from f_u's top t coefficients f_(n-1-r) =
+    -s_r: mu_(t-1-r) = -Omega_r for Forney's error evaluator Omega.  Q has
+    f_u's top t coefficients, and every coefficient f_i = -s_(n-1-i) with
+    i >= k is a negated syndrome, so the degree check needs no other
+    evaluation of the word.
+    """
     f = code.field
     n, k = code.n, code.k
     synd = evals[:n - k]
-    lam = np.asarray(locator.coeffs, dtype=np.int64)
-    t = len(lam) - 1
-    window = _hankel(np.concatenate((lam[1:], np.zeros(t - 1, dtype=np.int64))), t, t)
-    mu = f.neg_arr(_field_sum(f, f.mul_arr(window, synd[:t])))
-    quot, rem = _wrapped_quotient(f, lam, mu, n)
-    if rem.any():
+    t = locator.degree
+    quot, exact = _wrapped_quotient(f, locator.coeffs, f.neg_arr(synd[t - 1::-1]), n)
+    if not exact:
         raise InexactDivision(
             "locator does not divide the wrapped high part; it cannot "
             "explain the received word")
@@ -486,67 +505,44 @@ def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
     # passes.
     nonzero = np.flatnonzero(evals)
     trace.interp_degree = n - 1 - int(nonzero[0]) if nonzero.size else -math.inf
-    trace.high_quotient = Poly(f, mu.tolist())
+    trace.high_quotient = Poly(f, [f.neg(x) for x in _error_evaluator(f, locator, synd)[::-1]])
     trace.high_coeffs = trace.high_quotient.coeffs
-    if len(evals) < n and (f.eval_products(n, int(np.count_nonzero(quot)))
-                           > f.eval_products(k, int(np.count_nonzero(word)))):
-        # quot on the orbit would form more products than the word's other
-        # k evaluations, which give the message (then encoded) instead.
-        evals = np.concatenate((evals, f.eval_at_powers(word, first=n - k + 1, count=k)))
-    if len(evals) == n:
-        message = f.sub_arr(code.low_from_evaluations(evals[n - k:]), quot[:k])
-        return f.eval_at_powers(message, first=0, count=n), message
-    # c_j = f_c(alpha^j) = u_j - quot(alpha^j), as f_u(alpha^j) = u_j.
-    return f.sub_arr(word, f.eval_at_powers(quot, first=0, count=n)), None
+    return quot
 
 
-def _wrapped_quotient(f: Field, lam: np.ndarray, mu: np.ndarray, n: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of (x^n - 1) * mu by the monic lambda.
+def _wrapped_quotient(f: Field, lam: Sequence[int], top: np.ndarray, n: int
+                      ) -> tuple[np.ndarray, bool]:
+    """Quotient of (x^n - 1) * mu by the monic lambda, given the quotient's
+    top t coefficients, and whether the division is exact.
 
-    `lam` holds lambda's t + 1 coefficients (t >= 1, lam[t] = 1) and `mu`
-    t coefficients, trailing zeros allowed; t <= n.  Returns the quotient's
-    n coefficients and the remainder's t, as int64 arrays, equal to those
-    of `Poly.__divmod__` on the wrapped dividend.
+    `lam` holds lambda's t + 1 coefficients (t >= 1, lam[t] = 1), `top`
+    the quotient's coefficients q_(n-t), ..., q_(n-1); t <= n / 2.  Any t
+    values are the top of exactly one mu, mu_i = sum_(j>i) lambda_j
+    q_(n+i-j); the recover tail passes f_u's top t.  Returns the quotient's n
+    coefficients, as an int64 array, equal to those of `Poly.__divmod__`
+    on the wrapped dividend.
 
     Long division from the top makes q_i = w_(i+t) - sum_(l=1..t)
-    lambda_(t-l) q_(i+l) for the dividend w = x^n mu - mu, whose part -mu
-    has degree < t and so enters only the remainder.  The top t quotient
-    coefficients are t scalar steps driven by mu.  Below them lambda's
-    recurrence is homogeneous, so the next B coefficients q_(i-1), ...,
-    q_(i-B) are H S_i for the state S_i = (q_i, ..., q_(i+t-1)) and a
-    B x t impulse-response block H whose rows are h_1 = c = (-lambda_(t-1),
-    ..., -lambda_0) and h_(b+1) = h_b[0] c + (h_b[1:], 0), one companion
-    step each; each block of B coefficients is then one gather and one
-    reduction.  The remainder is r_m = -mu_m - sum_(j<=m) lambda_(m-j) q_j.
-    Products of two nonzero elements are counted: at most t(t-1)/2 for the
-    top, (B-1)t for H, (n-t)t for the blocks and t(t+1)/2 for the remainder.
+    lambda_(t-l) q_(i+l) for the dividend w = x^n mu - mu, which is zero
+    at degrees t, ..., n - 1: below the top, lambda's recurrence is
+    homogeneous.  Run t steps further, below index 0, it gives the wrapped
+    values q_(-1), ..., q_(-t), and the remainder is r_m = sum_(j>m)
+    lambda_j (q_(m-j) - q_(n+m-j)), a unit triangular map of their
+    differences from the top: the division is exact iff the run closes up,
+    q_(-i) = q_(n-i) for i = 1, ..., t.  The next B values q_(i-1), ...,
+    q_(i-B) are H S_i for the state S_i = (q_i, ..., q_(i+t-1)) and a B x t
+    impulse-response block H whose rows are h_1 = c = (-lambda_(t-1), ...,
+    -lambda_0) and h_(b+1) = h_b[0] c + (h_b[1:], 0), one companion step
+    each; each block of B values is then one gather and one reduction.
+    Products of two nonzero elements are counted: at most (B-1)t for H
+    and nt for the blocks.
     """
     t = len(lam) - 1
     exp2, log = f._exp2, f.log
     prime, p = f.kind == "prime", f.p
     muls = 0
-    # (l, log lambda_(t-l)) for the nonzero lambda_(t-1), ..., lambda_0
-    lam_terms = [(l, log[c]) for l, c in enumerate(lam[::-1].tolist()) if l and c]
-    top = mu.tolist()  # q_(n-t), ..., q_(n-1)
-    top_logs = [-1] * t
-    for m in range(t - 1, -1, -1):
-        acc = top[m]
-        for l, cl in lam_terms:
-            if m + l >= t:
-                break
-            al = top_logs[m + l]
-            if al >= 0:
-                muls += 1
-                acc = acc - exp2[cl + al] if prime else acc ^ exp2[cl + al]
-        if prime:
-            acc %= p
-        top[m] = acc
-        top_logs[m] = log[acc] if acc else -1
-    quot = np.zeros(n, dtype=np.int64)
-    quot[n - t:] = top
     # Rows h_1, ..., h_B of H from c_l = -lambda_(t-1-l); log 0 is -1.
-    h = [(-x) % p if prime else x for x in lam[t - 1::-1].tolist()]
+    h = [(-x) % p if prime else x for x in lam[t - 1::-1]]
     c_logs = [log[x] for x in h]
     c_nonzero = t - c_logs.count(-1)
     block = [h]
@@ -564,24 +560,23 @@ def _wrapped_quotient(f: Field, lam: np.ndarray, mu: np.ndarray, n: int
     # rows give q_(i-b), ..., q_(i-1) in order.
     block_logs = f._log_np[np.array(block[::-1], dtype=np.int64)]
     exp2_np, log_np = f._exp2_np, f._log_np
-    i = n - t
+    run = np.zeros(n + t, dtype=np.int64)  # run[i + t] = q_i for -t <= i < n
+    run[n:] = top
+    i = n
     while i > 0:
         b = min(len(block), i)
-        terms = exp2_np[block_logs[-b:] + log_np[quot[i:i + t]]]
+        terms = exp2_np[block_logs[-b:] + log_np[run[i:i + t]]]
         muls += int(np.count_nonzero(terms))
-        quot[i - b:i] = _field_sum(f, terms)
+        run[i - b:i] = f.sum_arr(terms)
         i -= b
     add_mul_ops(muls)
-    # lower-triangular Toeplitz [lambda_(m-j)]: row m of the Hankel matrix
-    # of (0, ..., 0, lambda_0, ..., lambda_(t-1)), columns reversed
-    lower = _hankel(np.concatenate((np.zeros(t - 1, dtype=np.int64), lam[:t])), t, t)[:, ::-1]
-    rem = f.sub_arr(f.neg_arr(mu), _field_sum(f, f.mul_arr(lower, quot[:t])))
-    return quot, rem
+    return run[t:], np.array_equal(run[:t], run[n:])
 
 
 def _block_rows(n: int, t: int) -> int:
     """Rows B of the quotient's impulse-response block for the n - t
-    coefficients below the top t.
+    coefficients below the top t (the t wrapped values add at most one
+    block step).
 
     B - 1 companion steps, each a Python pass over t entries, against
     ceil((n - t) / B) block steps of a few numpy calls each.  A block step
@@ -593,11 +588,30 @@ def _block_rows(n: int, t: int) -> int:
     return max(1, min(n - t, math.isqrt(50 * (n - t) // (t + 4))))
 
 
-def _field_sum(f: Field, terms: np.ndarray) -> np.ndarray:
-    """The field sum of `terms` along its last axis."""
-    if f.kind == "prime":
-        return terms.sum(axis=-1) % f.p
-    return np.bitwise_xor.reduce(terms, axis=-1)
+def _error_evaluator(f: Field, locator: Poly, synd: np.ndarray) -> list[int]:
+    """Forney's error evaluator Omega = (sum_(r<t) s_r x^r) Lambda mod x^t
+    of the degree-t locator, Lambda(x) = x^t lambda(1/x), as t ints.
+
+    One multiplication is counted per nonzero product Lambda_j s_(r-j)
+    with j >= 1; Lambda_0 = lambda_t = 1 needs none.
+    """
+    t = locator.degree
+    exp2, log = f._exp2, f.log
+    prime = f.kind == "prime"
+    lam = locator.coeffs[::-1]  # Lambda_j = lambda_(t-j)
+    omega = np.asarray(synd[:t]).tolist()
+    s_logs = [log[x] for x in omega]  # log 0 is -1
+    muls = 0
+    for j in range(1, t):
+        if lam[j]:
+            lj = log[lam[j]]
+            for r in range(j, t):
+                sl = s_logs[r - j]
+                if sl >= 0:
+                    muls += 1
+                    omega[r] = omega[r] + exp2[lj + sl] if prime else omega[r] ^ exp2[lj + sl]
+    add_mul_ops(muls)
+    return [x % f.p for x in omega] if prime else omega
 
 
 def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray,
@@ -606,7 +620,8 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray
     subtracted from the word.
 
     With Lambda(x) = x^t lambda(1/x) = prod_j (1 - X_j x) and
-    Omega = (sum_(r<t) s_r x^r) Lambda mod x^t, the value at X = alpha^i is
+    Omega = (sum_(r<t) s_r x^r) Lambda mod x^t (`_error_evaluator`; the
+    recover tail's mu is -Omega reversed), the value at X = alpha^i is
     e_i = -Omega(X^-1) / Lambda'(X^-1), the solution of the t x t system
     sum_j X_j^(r+1) e_j = s_r (r < t).  One multiplication is counted per
     product formed; products by 1 (Lambda_0 and Lambda' 's factor 1) are not.
@@ -621,15 +636,8 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray
     exp2, log = f._exp2, f.log
     prime, p = f.kind == "prime", f.p
     lam = locator.coeffs[::-1]  # Lambda_j = lambda_(t-j), Lambda_0 = 1
-    s = [int(x) for x in synd[:t]]
-    omega = list(s)
+    omega = _error_evaluator(f, locator, synd)
     muls = 0
-    for j in range(1, t):
-        if lam[j]:
-            for r in range(j, t):
-                if s[r - j]:
-                    muls += 1
-                    omega[r] = f.add(omega[r], exp2[log[lam[j]] + log[s[r - j]]])
     # Lambda' = sum_(j >= 1) j Lambda_j x^(j-1); in characteristic 2, j is 0 or 1.
     deriv = [0] * t
     for j in range(1, t + 1):

@@ -180,8 +180,7 @@ class FeMat:
         else:
             out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
             for i in range(a.shape[0]):
-                terms = f.mul_arr(a[i][:, None], b)
-                out[i] = np.bitwise_xor.reduce(terms, axis=0)
+                out[i] = f.sum_arr(f.mul_arr(a[i][:, None], b), axis=0)
         return FeMat._wrap(f, out)
 
     def __eq__(self, other) -> bool:

@@ -470,6 +470,13 @@ class Field:
         add_mul_ops(int(np.count_nonzero(out)))
         return out
 
+    def sum_arr(self, terms: np.ndarray, axis: int = -1) -> np.ndarray:
+        """The field sum of the elements `terms` along `axis`, as int64:
+        the integer sum mod p, or the XOR of the bit vectors."""
+        if self.kind == "prime":
+            return terms.sum(axis=axis, dtype=np.int64) % self.p
+        return np.bitwise_xor.reduce(terms, axis=axis).astype(np.int64, copy=False)
+
     def eval_at_powers(self, coeffs: Sequence[int] | np.ndarray, first: int = 0,
                        count: int | None = None) -> np.ndarray:
         """Evaluate sum_j coeffs[j] x^j at x = alpha^first, ..., alpha^(first+count-1).
@@ -526,11 +533,7 @@ class Field:
             e = np.multiply.outer(rows[lo:lo + step], j)
             e += logs
             np.remainder(e, n, out=e)
-            terms = np.take(self._exp_np, e)
-            if self.kind == "prime":
-                out[lo:lo + step] = terms.sum(axis=1, dtype=np.int64) % self.p
-            else:
-                out[lo:lo + step] = np.bitwise_xor.reduce(terms, axis=1)
+            out[lo:lo + step] = self.sum_arr(np.take(self._exp_np, e))
         add_mul_ops(int(count) * int(nz.size))
 
     def _transform_plan(self) -> "_Plan | None":

@@ -28,6 +28,7 @@ from rscodec import (
 from rscodec.bench import DECODERS
 from rscodec.decode_interp import (
     _bm_scan,
+    _error_evaluator,
     _error_positions_and_values,
     _rank_scan,
     _run,
@@ -177,7 +178,7 @@ def test_recover_tail_cost_and_structure(monkeypatch):
     # recover tail evaluates the whole orbit once (the quotient, which gives
     # the codeword; verify then evaluates the sparse error at the n - k
     # syndrome points), forms no Poly product or long division, and counts
-    # 23 681 products, where the long division and two orbit evaluations
+    # 23 665 products, where the long division and two orbit evaluations
     # of the word and the message counted 30 650.  Deterministic.
     rng = random.Random(223)
     code = get_code(256, 223)
@@ -336,11 +337,14 @@ def test_recover_reads_only_the_top_coefficients(q, k, kw):
     (256, {}),
 ])
 def test_wrapped_quotient_matches_long_division(q, kw):
-    # The recover tail's blocked quotient of (x^n - 1) mu by a monic lambda
-    # of degree t <= tau equals `Poly.__divmod__` of the wrapped dividend,
-    # quotient and remainder, whether lambda divides it (a product of
-    # distinct x - alpha^i divides x^n - 1) or not.  lambda may have zero
-    # inner coefficients or lambda(0) = 0, and mu trailing zeros.
+    # The recover tail's quotient of (x^n - 1) mu by a monic lambda of
+    # degree t <= tau, run from the quotient's top t coefficients, equals
+    # `Poly.__divmod__`'s quotient of the wrapped dividend, and its verdict
+    # is whether the remainder vanishes, whether lambda divides the dividend
+    # (a product of distinct x - alpha^i divides x^n - 1) or not.  mu is the
+    # coefficients t, ..., 2t - 1 of lambda * top, the one mu with that top.
+    # lambda may have zero inner coefficients or lambda(0) = 0, and the top
+    # trailing zeros.
     f = get_field(q, **kw)
     n = q - 1
     tau = (n - 1) // 2
@@ -361,19 +365,74 @@ def test_wrapped_quotient_matches_long_division(q, kw):
                 if case == 2 and t > 1:
                     for i in rng.sample(range(1, t), (t + 1) // 2):
                         lam[i] = 0
-            mu = [rng.randrange(q) for _ in range(t)]
+            top = [rng.randrange(q) for _ in range(t)]
             if case >= 3:
                 zeros = t if case == 5 else rng.randrange(1, t + 1)
-                mu[t - zeros:] = [0] * zeros
-            high = Poly(f, mu)
+                top[t - zeros:] = [0] * zeros
+            high = Poly(f, (Poly(f, lam) * Poly(f, top)).coeffs[t:])
             wrapped = high.shifted(n) - high
-            quot, rem = _wrapped_quotient(f, np.array(lam, dtype=np.int64),
-                                          np.array(mu, dtype=np.int64), n)
-            assert quot.shape == (n,) and rem.shape == (t,)
-            want = divmod(wrapped, Poly(f, lam))
-            assert (Poly(f, quot.tolist()), Poly(f, rem.tolist())) == want, (t, case)
-            verdicts.add(want[1].is_zero())
+            quot, exact = _wrapped_quotient(f, lam, np.array(top, dtype=np.int64), n)
+            assert quot.shape == (n,)
+            want, rem = divmod(wrapped, Poly(f, lam))
+            assert Poly(f, quot.tolist()) == want, (t, case)
+            assert exact is rem.is_zero(), (t, case)
+            verdicts.add(exact)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q, kw", [
+    (7, {"alpha": 5}),
+    (257, {}),
+    (16, {"reduction": 0x19, "alpha": 6}),
+    (256, {}),
+])
+def test_error_evaluator_is_the_truncated_product(q, kw):
+    # Forney's Omega, which both tails take (the recover tail as mu
+    # reversed), is the low t coefficients of (sum_(r<t) s_r x^r) Lambda,
+    # Lambda_j = lambda_(t-j), and counts one product per nonzero
+    # Lambda_j s_(r-j) with j >= 1.  Locators with zero coefficients and
+    # syndromes with zeros exercise the skipped products.
+    f = get_field(q, **kw)
+    rng = random.Random(q + 1)
+    for _ in range(60):
+        t = rng.randrange(1, 17)
+        lam = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(t)] + [1]
+        synd = np.array([rng.randrange(q) if rng.random() < 0.7 else 0
+                         for _ in range(t + 3)], dtype=np.int64)
+        big_lam = lam[::-1]
+        with gf.MulOpCounter() as ctr:
+            omega = _error_evaluator(f, Poly(f, lam), synd)
+        product = (Poly(f, synd[:t].tolist()) * Poly(f, big_lam)).coeffs[:t]
+        assert omega == list(product) + [0] * (t - len(product))
+        assert ctr.count == sum(1 for j in range(1, t) for r in range(j, t)
+                                if big_lam[j] and synd[r - j])
+
+
+def test_recover_codeword_polynomial_evaluates_the_word_once(monkeypatch):
+    # On RS(255,223) at t = 16 the word's one evaluation at all n points
+    # gives the syndromes and low(u), and the codeword polynomial is
+    # low(u) - Q[:k]: no further evaluation, 10 821 products, where
+    # encoding the message into a codeword as well counted 16 612.
+    # Deterministic.
+    rng = random.Random(255)
+    code = get_code(256, 223)
+    msg = [rng.randrange(256) for _ in range(223)]
+    word = corrupt(rng, code, code.encode(msg), 16)
+    locator = decode(code, word).locator
+    calls = []
+    field_cls = type(code.field)
+    eval_at_powers = field_cls.eval_at_powers
+
+    def recording_eval(self, coeffs, first=0, count=None):
+        calls.append((first, count))
+        return eval_at_powers(self, coeffs, first, count)
+
+    monkeypatch.setattr(field_cls, "eval_at_powers", recording_eval)
+    with gf.MulOpCounter() as ctr:
+        got = recover_codeword_polynomial(code, word, locator, 16)
+    assert got == Poly(code.field, msg)
+    assert calls == [(1, code.n)]
+    assert ctr.count < 12_000
 
 
 # ----- full decode fixtures ---------------------------------------------------------------
@@ -594,13 +653,14 @@ def test_roundtrip_all_dimensions(q):
             assert out.error == tuple(f.sub(a, b) for a, b in zip(u, cw))
 
 
-@pytest.mark.parametrize("k, accepted", [(1, 85), (2, 425), (3, 125)])
-def test_whole_space_ball_volume(k, accepted):
-    # Every word of GF(5)^4: all registered decoders accept the same words,
-    # with the same codewords, and exactly q^k * sum_(i <= tau) C(n, i)(q-1)^i
-    # of them, the words within tau of a codeword; every rejection is typed.
+@pytest.mark.parametrize("q, k, accepted", [(5, 1, 85), (5, 2, 425), (5, 3, 125), (4, 1, 40)])
+def test_whole_space_ball_volume(q, k, accepted):
+    # Every word of GF(5)^4, and of GF(4)^3 for a binary field: all
+    # registered decoders accept the same words, with the same codewords,
+    # and exactly q^k * sum_(i <= tau) C(n, i)(q-1)^i of them, the words
+    # within tau of a codeword; every rejection is typed.
     # scripts/whole_space.py runs the GF(7) spaces, too slow for this suite.
-    code = get_code(5, k)
+    code = get_code(q, k)
     assert ball_volume(code) == accepted
     assert whole_space_accepted(code) == accepted
 

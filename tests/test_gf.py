@@ -1,5 +1,6 @@
 """Field construction, scalar arithmetic, tables, and bulk kernels."""
 
+import functools
 import random
 
 import numpy as np
@@ -278,6 +279,16 @@ def test_array_kernels_match_scalar_ops(q):
     assert f.mul_arr(u[:, None], v).tolist() == [[f.mul(a, b) for b in v] for a in u]
     assert f.mul_arr(u[:, None], v[None, :]).shape == (9, 7)
     assert f.mul_arr(x[:0], y[:0]).shape == (0,)
+    # the field sum along either axis, of int64 or uint16 elements, is int64
+    grid = x.reshape(8, 8)
+    for terms in (grid, grid.astype(np.uint16)):
+        for axis in (0, -1):
+            got = f.sum_arr(terms, axis=axis)
+            assert got.dtype == np.int64
+            lines = np.moveaxis(grid, axis, -1).tolist()
+            want = [functools.reduce(f.add, line, 0) for line in lines]
+            assert got.tolist() == want
+    assert f.sum_arr(x[:0]) == 0
 
 
 @pytest.mark.parametrize("q", [7, 13, 256])

@@ -7,8 +7,10 @@ class DecodeFailure(Exception):
     """A decoder could not produce a verified codeword.
 
     Every subclass states the stage that failed; `reason` is a stable
-    machine-readable tag used in CLI statistics output.  `trace` carries
-    the decoder's work counters up to the failure point when available.
+    machine-readable tag used in CLI statistics output.  `trace` is the
+    DecodeTrace of the decoded row, with its work counters up to the
+    failure point: every failure a decoder raises carries it, and the
+    stand-alone stage functions raise with `trace=None`.
     """
 
     reason = "decode_failure"

@@ -152,9 +152,7 @@ class FeMat:
         if len(b) != self.rows:
             raise ValueError(f"rhs length {len(b)} does not match {self.rows} rows")
         ncols = self.cols
-        aug = np.concatenate(
-            [self._a, np.asarray([f.check(v) for v in b], dtype=np.int64)[:, None]],
-            axis=1)
+        aug = np.concatenate([self._a, f.asarray(b)[:, None]], axis=1)
         pivots, _ = _eliminate(f, aug, ncols)
         rank = len(pivots)
         if aug[rank:, ncols].any():

@@ -133,7 +133,7 @@ def test_detect_matches_rank_definition(q, k, kw):
         assert (length if length <= code.tau else None) == want, (f, s)
         if want is None:
             with pytest.raises(TooManyErrors):
-                _bm_scan(code, s)
+                _bm_scan(code, s, DecodeTrace())
         if not want:
             continue
         assert lam.degree == want and lam.coeffs[-1] == 1
@@ -142,12 +142,15 @@ def test_detect_matches_rank_definition(q, k, kw):
         except SingularLocatorSystem:
             singular += 1
             assert lam.coeffs[0] == 0, (f, s)
+            trace = DecodeTrace()
             with pytest.raises(SingularLocatorSystem, match="constant term is zero") as exc:
-                _bm_scan(code, s)
-            assert exc.value.trace == DecodeTrace()
+                _bm_scan(code, s, trace)
+            # a stage called on its own raises without a trace, and leaves
+            # the counters of the trace it was given at 0
+            assert exc.value.trace is None and trace == DecodeTrace()
         else:
             assert lam == ref, (f, s)
-            assert _bm_scan(code, s)[:2] == (want, ref)
+            assert _bm_scan(code, s, DecodeTrace()) == (want, ref)
     assert None in seen and 0 in seen and code.tau in seen
     assert singular > 0
 
@@ -756,6 +759,52 @@ def test_failure_carries_trace():
         pytest.fail("expected TooManyErrors")
 
 
+def _scan_counters(code, name, word):
+    """The (rank_checks, det_checks) that decoder `name` records on `word`,
+    from the public scan definitions."""
+    s = code.syndromes(word)
+    if name in ("interp", "interp-pos"):
+        t = detect_error_count(code, s)
+        return (code.tau if t is None else t) + 1, 0
+    if name == "pgz":
+        for h in range(code.tau, 0, -1):
+            if FeMat(code.field, [s[i:i + h] for i in range(h)]).det():
+                return 0, code.tau - h + 1
+        return 0, code.tau
+    return 0, 0
+
+
+@pytest.mark.parametrize("q, k, kw", [
+    (7, 2, {"alpha": 5}),
+    (13, 5, {}),
+    (16, 6, {"reduction": 0x19, "alpha": 6}),
+])
+def test_every_failure_carries_its_scan_counters(q, k, kw):
+    # Whichever stage raises, the failure carries the row's trace with the
+    # counters its count stage set, from the one-word call and from a
+    # `decode_blocks` row alike.
+    code = get_code(q, k, **kw)
+    rng = random.Random(q * 7 + k)
+    words = [corrupt(rng, code, code.encode([rng.randrange(q) for _ in range(k)]), t)
+             for t in range(code.tau + 1, min(code.n, code.tau + 4)) for _ in range(25)]
+    words += [random_word(rng, code) for _ in range(50)]
+    blocks = np.array(words, dtype=np.int64)
+    kinds = set()
+    for name, fn in DECODERS.items():
+        rows = decode_blocks(code, blocks, name)[1]
+        for word, row in zip(words, rows):
+            try:
+                fn(code, word)
+            except DecodeFailure as exc:
+                assert type(row) is type(exc), (name, word)
+                want = _scan_counters(code, name, word)
+                for got in (exc, row):
+                    assert isinstance(got.trace, DecodeTrace), (name, word)
+                    assert (got.trace.rank_checks, got.trace.det_checks) == want, (name, word)
+                kinds.add(type(exc))
+    assert {TooManyErrors, SingularLocatorSystem, InexactDivision, RootCountMismatch} <= kinds
+
+
 # ----- the batched entry ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("q, k, kw", [
@@ -800,5 +849,8 @@ def test_decode_blocks_matches_one_word_decoders(q, k, kw):
         decode_blocks(code, blocks[:, 1:], "bm")
     with pytest.raises(ValueError):
         decode_blocks(code, blocks + q, "bm")
+    with pytest.raises(ValueError, match=r"unknown decoder 'nope', expected one of "
+                                         r"\['bm', 'interp', 'interp-pos', 'pgz'\]"):
+        decode_blocks(code, blocks, "nope")
     messages, results, _ = decode_blocks(code, blocks[:0], "interp")
     assert messages.shape == (0, k) and results == []

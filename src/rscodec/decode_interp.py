@@ -311,6 +311,9 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
 
 
 def _rank_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, Poly]:
+    if not synd.any():
+        trace.rank_checks = 1
+        return 0, Poly.one(code.field)
     t = detect_error_count(code, synd)
     trace.rank_checks = code.tau + 1 if t is None else t + 1
     if t is None:

@@ -36,8 +36,16 @@ accept the same values and name the first value they reject.
 
 Polynomial evaluation, `eval_at_powers`, has two paths and one rule
 between them.  The direct sum forms every term of every point as one
-antilog lookup at ((first + r) j + log c_j) mod (q - 1): count x
-(nonzero coefficients) products.  The transform is Good's prime-factor
+antilog lookup at ((first + r) j mod (q - 1)) + log c_j: count x
+(nonzero coefficients) products.  A field with 2n^2 <= `_EVAL_BLOCK`
+(n = q - 1 <= 362: GF(256), GF(257) and every field up to GF(359)) reads
+the exponents (i j) mod n off one read-only uint16 table of 2n rows,
+built on first use, so a window of at most n points from alpha^first is
+a view of rows and a call is one add and one exp2 gather: a mostly
+nonzero row adds its whole log row (a zero's sentinel log reads exp2's
+zero tail), a sparse one only its nonzero columns.  Larger fields, and
+windows of more than n points, compute the exponents block by block,
+with a remainder mod n.  The transform is Good's prime-factor
 algorithm over the whole orbit: n = q - 1 splits into coprime
 prime-power factors n_i (255 = 3 * 5 * 17), each axis is a direct
 length-n_i transform by the `mul_arr` gather against an exponent table,
@@ -54,7 +62,8 @@ than `_TRANSFORM_COST` times that many; a field whose n is a prime power
 (GF(8), GF(17), GF(257)) has no split and always takes the direct sum,
 in blocks of at most `_EVAL_BLOCK` terms.  So an evaluation's scratch
 memory is a few arrays of rows x n, or of a bounded size, on every
-field, and no per-field table grows with q^2.  A (B, L) array of
+field, and the one per-field table that grows with q^2 stops at
+`_EVAL_BLOCK` entries (254 KiB for GF(256)).  A (B, L) array of
 coefficients is B polynomials evaluated in one call.
 
 The module keeps a global count of field multiplications (including
@@ -67,7 +76,9 @@ product is nonzero exactly when both factors are), the direct sum
 count x (nonzero coefficients), the transform n_i for each nonzero
 input of an axis pass (its tables hold only powers of alpha), so it
 counts fewer than the direct sum it replaces.  The counter is a plain
-module global and is not thread safe.
+module global and is not thread safe.  The lazily built transform plan
+and exponent table are safe to share: threads that race to build one
+build equal values, and either is kept.
 """
 
 from __future__ import annotations
@@ -104,7 +115,8 @@ DEFAULT_REDUCTIONS = {
 
 # Most entries of one exponent block of `Field.eval_at_powers`: the points
 # are taken in row chunks of at most this many (point, term) pairs, so an
-# evaluation's scratch memory stays bounded on GF(2^16).
+# evaluation's scratch memory stays bounded on GF(2^16).  It also bounds a
+# field's cached 2n x n exponent table, built only when 2n^2 fits (n <= 362).
 _EVAL_BLOCK = 1 << 18
 
 # An axis pass of the transform with at most this many outputs (rows x n)
@@ -249,7 +261,7 @@ class Field:
 
     __slots__ = (
         "kind", "q", "p", "m", "reduction", "alpha",
-        "exp", "log", "_exp2", "_exp_np", "_exp2_np", "_log_np", "_plan",
+        "exp", "log", "_exp2", "_exp_np", "_exp2_np", "_log_np", "_plan", "_powers",
     )
 
     def __init__(self, q: int, *, reduction: int | None = None,
@@ -311,6 +323,7 @@ class Field:
         lg[0] = 2 * n
         self._log_np = lg
         self._plan = None
+        self._powers = None
 
     # ----- construction helpers -------------------------------------------------
 
@@ -519,9 +532,26 @@ class Field:
         # nonzero coefficient) pair.
         n = self.q - 1
         count = len(out)
-        nz = np.flatnonzero(c)
-        if nz.size == 0:
+        nnz = int(np.count_nonzero(c))
+        if nnz == 0:
             return
+        add_mul_ops(count * nnz)
+        table = self._power_table() if count <= n else None
+        if table is not None:
+            # Term j at point alpha^(first + r) is exp2[table[first + r, j] +
+            # log c_j], with the rows from first mod n a view.  A mostly
+            # nonzero row takes every column: log 0 is the sentinel 2n, so a
+            # zero coefficient reads the zero tail of exp2.
+            start = first % n
+            window = table[start:start + count]
+            if 2 * nnz > len(c):
+                e = window[:, :len(c)] + self._log_np[c]
+            else:
+                nz = np.flatnonzero(c)
+                e = window[:, nz] + self._log_np[c[nz]]
+            out[:] = self.sum_arr(self._exp2_np[e])
+            return
+        nz = np.flatnonzero(c)
         # Term j at point alpha^(first + r) is alpha^(((first + r) j + log c_j)
         # mod n).  With (first + r) mod n, j and log c_j all below n <= 2^16 - 1,
         # the exponent stays below 2^32, so the block is uint32.
@@ -534,7 +564,19 @@ class Field:
             e += logs
             np.remainder(e, n, out=e)
             out[lo:lo + step] = self.sum_arr(np.take(self._exp_np, e))
-        add_mul_ops(int(count) * int(nz.size))
+
+    def _power_table(self) -> np.ndarray | None:
+        # The read-only uint16 table (i j) mod n for i < 2n and j < n, so
+        # any window of at most n points is a view of its rows; built on
+        # first use, and only while it has at most _EVAL_BLOCK entries.
+        if self._powers is None:
+            n = self.q - 1
+            table = False
+            if 2 * n * n <= _EVAL_BLOCK:
+                table = (np.multiply.outer(np.arange(2 * n), np.arange(n)) % n).astype(np.uint16)
+                table.flags.writeable = False
+            self._powers = table
+        return None if self._powers is False else self._powers
 
     def _transform_plan(self) -> "_Plan | None":
         if self._plan is None:

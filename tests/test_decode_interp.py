@@ -463,7 +463,12 @@ def test_decode_double_error_fixture(rs72):
     assert out.trace.high_quotient == Poly(rs72.field, (6,))
 
 
-def test_decode_codeword_fixture(rs72):
+def test_decode_codeword_fixture(rs72, monkeypatch):
+    # Zero syndromes answer the one rank check without the elimination.
+    def no_elimination(code, syndromes):
+        raise AssertionError("the rank scan eliminated zero syndromes")
+
+    monkeypatch.setattr("rscodec.decode_interp.detect_error_count", no_elimination)
     out = decode(rs72, V)
     assert out.codeword == V
     assert out.error == (0,) * 6

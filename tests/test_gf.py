@@ -291,20 +291,47 @@ def test_array_kernels_match_scalar_ops(q):
     assert f.sum_arr(x[:0]) == 0
 
 
-@pytest.mark.parametrize("q", [7, 13, 256])
-def test_eval_at_powers_matches_horner(q):
-    from rscodec import Poly
-    f = get_field(q)
+HORNER_FIELDS = [(7, {}), (13, {}), (256, {}), (16, GF16_0X19), (257, {})]
+
+
+@pytest.mark.parametrize("q, kw", HORNER_FIELDS, ids=[str(q) for q, _ in HORNER_FIELDS])
+def test_eval_at_powers_matches_horner(q, kw):
+    # Random polynomials and the rows the decoders evaluate: a dense word
+    # with one zero, a t-sparse error, a short t + 1 locator and the zero
+    # word.  Windows wrap past alpha^(n-1), start at first >= n, and count
+    # more than n points.  The direct sum counts count x nnz products.
+    f = get_field(q, **kw)
     rng = random.Random(q * 3)
     n = q - 1
+    t = max(1, n // 16)
+    xs = np.array([f.pow(f.alpha, i) for i in range(n)])
+
+    def horner(coeffs):
+        acc = np.zeros(n, dtype=np.int64)
+        for c in reversed(coeffs):
+            acc = f.add_arr(f.mul_arr(acc, xs), c)
+        return acc.tolist()
+
+    dense = [rng.randrange(1, q) for _ in range(n)]
+    dense[rng.randrange(n)] = 0
+    sparse = [0] * n
+    for j in rng.sample(range(n), t):
+        sparse[j] = rng.randrange(1, q)
+    rows = [dense, sparse, [rng.randrange(1, q) for _ in range(t + 1)], [0] * n]
     for _ in range(25):
-        deg = rng.randrange(n)
-        coeffs = [rng.randrange(q) for _ in range(deg + 1)]
-        p = Poly(f, coeffs)
-        for first, count in ((0, n), (1, n), (1, 3), (2, n), (0, 0)):
-            got = f.eval_at_powers(coeffs, first=first, count=count)
-            want = [p(f.pow(f.alpha, (first + i) % n)) for i in range(count)]
-            assert got.tolist() == want
+        rows.append([rng.randrange(q) for _ in range(rng.randrange(n) + 1)])
+    k = n - 2 * t
+    windows = ((0, n), (1, n), (1, 3), (2, n), (0, 0), (n - k + 1, k), (n + 2, n - 1),
+               (3 * n + 1, 5), (1, n + 3), (n + 1, 2 * n + 1))
+    for coeffs in rows:
+        orbit = horner(coeffs)
+        nnz = sum(1 for c in coeffs if c)
+        for first, count in windows:
+            with gf.MulOpCounter() as ctr:
+                got = f.eval_at_powers(coeffs, first=first, count=count)
+            assert got.tolist() == [orbit[(first + i) % n] for i in range(count)]
+            most = f.eval_products(count, nnz)
+            assert ctr.count == most if most == count * nnz else ctr.count <= most
 
 
 def test_eval_at_powers_large_field_fallback_path():
@@ -324,6 +351,30 @@ def test_eval_at_powers_large_field_fallback_path():
         got = f.eval_at_powers(coeffs, first=first, count=count)
         want = [p(f.pow(f.alpha, (first + i) % (q - 1))) for i in range(count)]
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("q", [359, 367, 4096, 65536])
+def test_power_table_is_cached_below_the_size_bound(q):
+    # The direct sum reads (i j) mod n off one table of 2n x n entries,
+    # built on a field's first evaluation only while 2n^2 <= _EVAL_BLOCK:
+    # GF(359) builds it, GF(367) and the larger fields never do.
+    from rscodec import Poly
+    f = Field(q)  # not the shared one: the table must start unbuilt
+    n = q - 1
+    coeffs = [3, 0, 1, 2]
+    want = [Poly(f, coeffs)(f.pow(f.alpha, i % n)) for i in range(1, 6)]
+    assert f.eval_at_powers(coeffs, first=1, count=5).tolist() == want
+    table = f._power_table()
+    assert (table is not None) == (q == 359) == (2 * n * n <= gf._EVAL_BLOCK)
+    if table is None:
+        return
+    assert table.shape == (2 * n, n) and table.dtype == np.uint16
+    assert np.array_equal(table, np.multiply.outer(np.arange(2 * n), np.arange(n)) % n)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1, 1] = 0
+    f.eval_at_powers(coeffs, first=n + 2, count=n)
+    assert f._power_table() is table
 
 
 # Fields whose group order n = q - 1 splits into coprime factors, so

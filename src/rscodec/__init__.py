@@ -36,7 +36,7 @@ from .exceptions import (
     VerifyFailed,
 )
 from .femat import FeMat, SolveResult, SolveStatus, vandermonde
-from .gf import Field, MulOpCounter, find_primitive, mul_ops_total
+from .gf import Field, MulOpCounter, mul_ops_total
 from .oracle import OracleResult, brute_min_distance, brute_nearest, codebook, hamming
 from .poly import Poly
 from .rscode import RSCode
@@ -74,7 +74,6 @@ __all__ = [
     "decode",
     "decode_via_positions",
     "detect_error_count",
-    "find_primitive",
     "hamming",
     "mul_ops_total",
     "pgz_decode",

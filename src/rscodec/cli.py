@@ -134,19 +134,25 @@ def _write_bytes(path: str, data: bytes) -> None:
 def _parse_symbols(data: bytes, fmt: str, q: int, what: str) -> np.ndarray:
     if fmt == "bin":
         symbols = np.frombuffer(data, dtype=np.uint8)
-        bad = symbols[symbols >= q]
-        if bad.size:
-            raise CliError(EXIT_DATA, f"{what}: symbol {bad[0]} outside [0, {q})")
-        return symbols
-    symbols = []
-    for tok in data.split():
-        if not tok.isdigit():  # ASCII digits only, no sign, "_" or other spelling
-            raise CliError(EXIT_DATA, f"{what}: non-integer token {tok!r}")
-        symbols.append(int(tok))
-    for s in symbols:
-        if not 0 <= s < q:
-            raise CliError(EXIT_DATA, f"{what}: symbol {s} outside [0, {q})")
-    return np.array(symbols, dtype=np.int64)
+    else:
+        width = len(str(q - 1))
+        parsed = []
+        for tok in data.split():
+            if not tok.isdigit():  # ASCII digits only, no sign, "_" or other spelling
+                raise CliError(EXIT_DATA, f"{what}: non-integer token {tok!r}")
+            if len(tok) > width:
+                # Past its zero padding, a token longer than q - 1 is out of
+                # range; int() is not asked, as it refuses very long strings.
+                tok = tok.lstrip(b"0") or b"0"
+                if len(tok) > width:
+                    raise CliError(EXIT_DATA, f"{what}: symbol of {len(tok)} digits "
+                                              f"outside [0, {q})")
+            parsed.append(int(tok))
+        symbols = np.array(parsed, dtype=np.int64)
+    bad = symbols[symbols >= q]
+    if bad.size:
+        raise CliError(EXIT_DATA, f"{what}: symbol {bad[0]} outside [0, {q})")
+    return symbols
 
 
 def _render_payload(symbols: np.ndarray, fmt: str) -> bytes:
@@ -265,7 +271,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args leaves it as it was.
     parser = argparse.ArgumentParser(
         prog="rscodec",
         description="Reed-Solomon block codec with exact finite-field arithmetic.")
@@ -317,11 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include wall-time means (breaks byte-determinism)")
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()  # built once per process; parse_args leaves it as it was
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -117,15 +117,14 @@ class DecodeTrace:
     rank_checks counts the rank scan's rank-equality tests, det_checks the
     determinant scan's candidates h decided (not the determinants it forms:
     one rank decides every candidate above it); a scan that did not run
-    leaves its counter at 0, so Berlekamp-Massey leaves both at 0.  The
-    interp_* and high_* values are set by the recover tail only.
+    leaves its counter at 0, so Berlekamp-Massey leaves both at 0.
+    interp_degree and high_quotient are set by the recover tail only.
     """
 
     rank_checks: int = 0
     det_checks: int = 0
     interp_degree: int | float | None = None
     high_quotient: Poly | None = None
-    high_coeffs: tuple[int, ...] = ()
 
 
 @dataclass
@@ -503,7 +502,6 @@ def _recovered_quotient(code: RSCode, evals: np.ndarray, locator: Poly,
     nonzero = np.flatnonzero(evals)
     trace.interp_degree = n - 1 - int(nonzero[0]) if nonzero.size else -math.inf
     trace.high_quotient = Poly(f, [f.neg(x) for x in _error_evaluator(f, locator, synd)[::-1]])
-    trace.high_coeffs = trace.high_quotient.coeffs
     return quot
 
 

@@ -94,10 +94,6 @@ class FeMat:
         m._a = arr
         return m
 
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "FeMat":
-        return cls._wrap(field, np.zeros((rows, cols), dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -112,9 +108,6 @@ class FeMat:
 
     def to_lists(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self._a]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._a[i])
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return int(self._a[ij])

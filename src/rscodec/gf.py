@@ -427,13 +427,6 @@ class Field:
             raise ValueError(f"0 has no discrete logarithm in GF({self.q})")
         return self.log[a]
 
-    def is_primitive(self, x: int) -> bool:
-        """True iff x has multiplicative order q-1."""
-        if not 1 <= x < self.q:
-            return False
-        # x = alpha^i has order (q-1) / gcd(i, q-1).
-        return math.gcd(self.log[x], self.q - 1) == 1
-
     # ----- bulk numpy kernels ---------------------------------------------------
     #
     # All kernels take/return int64 arrays of canonical elements and account
@@ -639,8 +632,3 @@ class Field:
         if self.kind == "prime":
             return f"Field({self.q}, alpha={self.alpha})"
         return f"Field(2**{self.m}, reduction={self.reduction:#x}, alpha={self.alpha})"
-
-
-def find_primitive(q: int, *, reduction: int | None = None) -> int:
-    """Smallest canonical element of GF(q) with multiplicative order q-1."""
-    return Field(q, reduction=reduction).alpha

@@ -47,12 +47,6 @@ class Poly:
     def one(cls, field: Field) -> "Poly":
         return cls(field, (1,))
 
-    @classmethod
-    def monomial(cls, field: Field, degree: int, coeff: int = 1) -> "Poly":
-        if coeff == 0:
-            return cls.zero(field)
-        return cls(field, (0,) * degree + (coeff,))
-
     @property
     def degree(self) -> int | float:
         """Degree of the polynomial; -inf for the zero polynomial."""
@@ -75,10 +69,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] = f.add(out[i], c)
         return Poly(f, out)
-
-    def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_field(other)
@@ -166,12 +156,6 @@ class Poly:
         add_mul_ops(1 + steps * (len(terms) + 1))
         return Poly(f, quot), Poly(f, rem)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def __call__(self, x: int) -> int:
         """Evaluate by Horner's rule."""
         f = self.field
@@ -185,13 +169,6 @@ class Poly:
         if self.is_zero():
             return self
         return Poly(self.field, (0,) * k + self.coeffs)
-
-    def split_at(self, k: int) -> tuple["Poly", "Poly"]:
-        """Split into (terms of degree < k, terms of degree >= k); sum is self."""
-        if k < 0:
-            raise ValueError("split point must be nonnegative")
-        f = self.field
-        return Poly(f, self.coeffs[:k]), Poly(f, (0,) * k + self.coeffs[k:])
 
     def roots_nonzero(self) -> set[int]:
         """All nonzero field elements where the polynomial vanishes.

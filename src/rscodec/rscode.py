@@ -6,8 +6,10 @@ primitive element, so every nonzero field element is an evaluation point.
 The code is maximum distance separable with minimum distance n - k + 1
 and corrects tau = floor((n - k) / 2) errors.
 
-Four standard descriptions of the same code agree here and are kept
-exposed because the decoders and tests exercise all of them:
+Four standard descriptions of the same code agree here.  The codec
+computes with evaluations only (a word's syndromes are H times it, formed
+as evaluations); the matrices G and H and `lagrange_basis` are kept for
+the acceptance gate's identities between the four (criterion C4):
 
 * image of the generator matrix G[i][j] = alpha^(i*j);
 * kernel of the parity-check matrix H[i][j] = alpha^((i+1)*j);
@@ -113,20 +115,8 @@ class RSCode:
 
     def interpolate(self, word: Sequence[int]) -> Poly:
         """The unique polynomial of degree < n through (alpha^j, word[j])."""
-        return self.interpolate_from_evaluations(self.word_evaluations(word))
-
-    def interpolate_from_evaluations(self, evals: np.ndarray) -> Poly:
-        """Interpolation polynomial from precomputed word_evaluations()."""
-        coeffs = self.field.neg_arr(evals[::-1])
+        coeffs = self.field.neg_arr(self.word_evaluations(word)[::-1])
         return Poly(self.field, coeffs.tolist())
-
-    def low_coefficients(self, word: Sequence[int]) -> tuple[int, ...]:
-        """f_0, ..., f_(k-1) of the word's interpolation polynomial, from
-        the k evaluations f_i = -u(alpha^(n-i)); for a codeword, its
-        message."""
-        vals = self.field.eval_at_powers(self._word_array(word), first=self.n - self.k + 1,
-                                         count=self.k)
-        return tuple(self.low_from_evaluations(vals).tolist())
 
     def low_from_evaluations(self, tail: np.ndarray) -> np.ndarray:
         """f_0, ..., f_(k-1) as an int64 array, from the last k word

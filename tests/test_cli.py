@@ -226,7 +226,8 @@ def test_decode_chunks_match_block_decodes(tmp_path):
             try:
                 outcome = fn(code, block)
             except DecodeFailure as exc:
-                symbols += code.low_coefficients(block)
+                low = code.word_evaluations(block)[code.n - code.k:]
+                symbols += code.low_from_evaluations(low).tolist()
                 want_stats.append((i, exc.reason, None, exc.trace.rank_checks,
                                    exc.trace.det_checks))
             else:
@@ -333,6 +334,18 @@ def test_data_errors(tmp_path, capsys):
     stream.write_bytes(StreamHeader(7, 2, 5, 2).pack() + b"+0 0 0 0 0 0\n")
     assert run("decode", stream, out) == EXIT_DATA
     assert "non-integer token b'+0'" in capsys.readouterr().err
+    # a token past int()'s digit limit is out of range, not a crash; zero
+    # padding is not, however long
+    payload.write_text("1 " + "1" * 5000)
+    assert run("encode", "--q", 7, "--k", 2, payload, out) == EXIT_DATA
+    stream.write_bytes(StreamHeader(7, 2, 5, 2).pack() + b"1" * 5000 + b" 0 0 0 0 0\n")
+    assert run("decode", stream, out) == EXIT_DATA
+    assert capsys.readouterr().err.count("symbol of 5000 digits outside [0, 7)") == 2
+    assert not out.exists()
+    payload.write_text("1 " + "0" * 5000 + "6")
+    assert run("encode", "--q", 7, "--k", 2, payload, stream) == EXIT_OK
+    assert run("decode", stream, out) == EXIT_OK
+    assert out.read_text() == "1 6\n"
 
     stream.write_bytes(b"NOPE" + bytes(21))
     assert run("decode", stream, out) == EXIT_DATA

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from rscodec import Field, find_primitive
+from rscodec import Field
 from rscodec import gf
 
 from .util import get_code, get_field, slow_gf2m_mul
@@ -134,16 +134,7 @@ def test_pow_negative_exponents(f7):
 # ----- primitive elements ------------------------------------------------------
 
 def test_find_primitive_f7_is_3():
-    assert find_primitive(7) == 3
     assert Field(7).alpha == 3
-
-
-def test_is_primitive(f7):
-    assert f7.is_primitive(5)
-    assert f7.is_primitive(3)
-    assert not f7.is_primitive(2)
-    assert not f7.is_primitive(1)
-    assert not f7.is_primitive(0)
 
 
 @pytest.mark.parametrize("q", [5, 11, 13, 16, 17, 64, 256])

@@ -1,4 +1,4 @@
-"""Polynomial ring operations, division, evaluation, splitting, roots."""
+"""Polynomial ring operations, division, evaluation, roots."""
 
 import math
 import random
@@ -50,8 +50,6 @@ def test_degree_and_constructors(f7):
     assert P(f7, 5).degree == 0
     assert P(f7, 0, 1).degree == 1
     assert Poly.one(f7) == P(f7, 1)
-    assert Poly.monomial(f7, 3, 4) == P(f7, 0, 0, 0, 4)
-    assert Poly.monomial(f7, 3, 0).is_zero()
 
 
 def test_repr_is_readable(f7):
@@ -72,7 +70,6 @@ def test_add_sub_scale_fixtures(f7):
     assert a.scale(2) == P(f7, 2, 2)
     assert a.scale(0).is_zero()
     assert (a - a).is_zero()
-    assert -P(f7, 1, 3) == P(f7, 6, 4)
     # f_u minus the fold quotient from the worked decode: result 6x + 5
     f_u = P(f7, 3, 0, 3, 2, 6, 4)
     quot = P(f7, 5, 1, 3, 2, 6, 4)
@@ -147,18 +144,6 @@ def test_shifted(f7):
     assert Poly.zero(f7).shifted(3).is_zero()
 
 
-def test_split_fixtures(f7):
-    f_u = P(f7, 3, 0, 3, 2, 6, 4)
-    low, high = f_u.split_at(2)
-    assert low == P(f7, 3)
-    assert high == P(f7, 0, 0, 3, 2, 6, 4)
-    assert low + high == f_u
-    low, high = f_u.split_at(0)
-    assert low.is_zero() and high == f_u
-    with pytest.raises(ValueError):
-        f_u.split_at(-1)
-
-
 def test_roots_fixtures(f7):
     assert P(f7, 2, 1).roots_nonzero() == {5}
     assert P(f7, 6, 2, 1).roots_nonzero() == {2, 3}
@@ -192,15 +177,6 @@ def test_divmod_reconstruction_hypothesis(a, b):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
-
-
-@settings(deadline=None, max_examples=150)
-@given(f13_polys(), st.integers(0, 8))
-def test_split_add_identity_hypothesis(p, k):
-    low, high = p.split_at(k)
-    assert low + high == p
-    assert low.degree < k
-    assert all(c == 0 for c in high.coeffs[:k])
 
 
 @pytest.mark.parametrize("q", [7, 13, 16, 256])
@@ -267,5 +243,5 @@ def test_roots_match_eval_sweep():
     f = get_field(16, reduction=0x19, alpha=6)
     every = {x for x in range(1, 16)}
     assert Poly.zero(f).roots_nonzero() == every
-    assert (Poly.monomial(f, 15) - Poly.one(f)).roots_nonzero() == every
-    assert Poly.monomial(f, 31, 3).roots_nonzero() == set()
+    assert P(f, 1, *[0] * 14, 1).roots_nonzero() == every  # x^15 - 1
+    assert P(f, *[0] * 31, 3).roots_nonzero() == set()  # 3x^31

@@ -30,10 +30,11 @@ can raise, and raises its failures without a trace, as the tail does:
 - the Peterson-Gorenstein-Zierler determinant scan (the largest h <= tau
   with a nonzero h x h Hankel determinant; 0 checks for a codeword,
   tau - t + 1 on success, tau on failure, one check per candidate h
-  decided: one elimination gives the rank r of the tau x tau Hankel
-  matrix H_tau, which decides every h > r (singular) and h = r = tau
-  (nonsingular), and each h <= r below tau takes its own determinant),
-  then `solve_locator`;
+  decided: one elimination of the tau x tau Hankel matrix H_tau gives
+  its rank r, which decides every h > r (singular), and its pivot
+  columns decide h = r, as the symmetric H_tau has a nonsingular H_r iff
+  they are 0, ..., r - 1; only past a singular H_r does each h < r take
+  its own determinant), then `solve_locator`;
 - Berlekamp-Massey (`berlekamp_massey`).  Candidate t passes the rank
   check iff some length-t LFSR generates all n - k syndromes, so the
   paper's t is the sequence's linear complexity L, and lambda is the
@@ -104,7 +105,7 @@ from .exceptions import (
     TooManyErrors,
     VerifyFailed,
 )
-from .femat import FeMat
+from .femat import FeMat, _eliminate
 from .gf import Field, add_mul_ops, mul_ops_total
 from .poly import Poly
 from .rscode import RSCode
@@ -173,10 +174,11 @@ def pgz_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     The scan decides 0 candidates for a codeword, tau - t + 1 for a
     successful decode of weight t >= 1, and tau when no weight fits
     (TooManyErrors).  One elimination of the tau x tau Hankel matrix gives
-    its rank r and decides every h > r; for t <= tau errors r = t and the
-    t x t determinant is nonzero, so the scan usually forms one rank and
-    one determinant.  The locator system is the only linear system it
-    solves.
+    its rank r and decides every h > r; for t <= tau errors r = t, and
+    the same elimination shows the t x t block nonsingular, so the scan
+    forms no determinant.  Only beyond the radius, where the r x r block
+    can be singular, does it form determinants, for h < r.  The locator
+    system is the only linear system it solves.
     """
     return _run(code, word, *_pipeline("pgz"))
 
@@ -323,12 +325,22 @@ def _rank_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int,
 def _determinant_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, Poly]:
     if not synd.any():
         return 0, Poly.one(code.field)
-    # Each h x h Hankel matrix with h > rank(H_tau) is a leading submatrix
-    # of H_tau, so singular; rank tau proves h = tau nonsingular.
+    # H_tau is symmetric.  Each h x h Hankel matrix with h > r = rank(H_tau)
+    # is a leading submatrix of H_tau, so singular, and H_r is nonsingular
+    # iff the pivots of H_tau sit in columns 0, ..., r - 1.  If they do,
+    # those columns span the column space, so by symmetry rows 0, ..., r - 1
+    # span the row space: they are [H_r, H_r X] for some X and have rank r,
+    # so H_r does.  Conversely a nonsingular H_r makes columns 0, ..., r - 1
+    # independent, and they take the first r pivots.  Only a singular H_r
+    # (past the correction radius) leads to determinants, from h = r - 1.
     tau = code.tau
-    rank = FeMat._wrap(code.field, _hankel(synd, tau, tau)).rank()
-    for h in range(rank, 0, -1):
-        if h == tau or FeMat._wrap(code.field, _hankel(synd, h, h)).det() != 0:
+    pivots, _ = _eliminate(code.field, _hankel(synd, tau, tau), tau)
+    rank = len(pivots)
+    if rank and pivots[-1] == rank - 1:
+        trace.det_checks = tau - rank + 1
+        return rank, solve_locator(code, synd, rank)
+    for h in range(rank - 1, 0, -1):
+        if FeMat._wrap(code.field, _hankel(synd, h, h)).det() != 0:
             trace.det_checks = tau - h + 1
             return h, solve_locator(code, synd, h)
     trace.det_checks = tau

@@ -4,12 +4,15 @@ Entries are canonical field elements held in int64 numpy arrays, and the
 constructor validates them as `Field.asarray` does; all row reduction is
 exact field arithmetic (no floating point, no pivoting heuristics needed
 since any nonzero pivot is exact).  Each elimination step normalises the
-pivot row and clears the whole block below (or above) it with one
-broadcast `Field.mul_arr`, zero rows included, so a step counts one
-multiplication per product of two nonzero entries.  Solving reports its
-outcome as a value (unique / no solution / underdetermined) rather than
-by raising, because singular systems are an expected, meaningful result
-for the decoders built on top.
+pivot row and clears the whole block below it with one broadcast
+`Field.mul_arr`, zero rows included, so a step counts one multiplication
+per product of two nonzero entries.  The elimination reports its pivot columns, off which
+the PGZ determinant scan reads det(H_r) != 0.  A unique solution is
+back-substituted on Python ints, one product per nonzero term.  Solving
+reports its outcome as a
+value (unique / no solution / underdetermined) rather than by raising,
+because singular systems are an expected, meaningful result for the
+decoders built on top.
 """
 
 from __future__ import annotations
@@ -38,14 +41,15 @@ class SolveResult:
         return self.status is SolveStatus.UNIQUE
 
 
-def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[tuple[int, int]], int]:
+def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[int], int]:
     """Row-reduce `a` in place, choosing pivots in the first `pivot_cols`
     columns only.  Pivot rows are normalized to leading 1 and cleared below.
-    Returns the pivot (row, col) list and the determinant factor: the field
-    product of pre-normalization pivots with the swap sign folded in.
+    Returns the pivot columns, the i-th pivot sitting in row i, and the
+    determinant factor: the field product of pre-normalization pivots with
+    the swap sign folded in.
     """
     rows = a.shape[0]
-    pivots: list[tuple[int, int]] = []
+    pivots: list[int] = []
     det = 1
     r = 0
     for c in range(pivot_cols):
@@ -63,15 +67,9 @@ def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[tuple[int
         if piv != 1:
             a[r, c:] = f.mul_arr(a[r, c:], f.inv(piv))
         a[r + 1:, c:] = f.sub_arr(a[r + 1:, c:], f.mul_arr(a[r + 1:, c, None], a[r, c:]))
-        pivots.append((r, c))
+        pivots.append(c)
         r += 1
     return pivots, det
-
-
-def _back_eliminate(f: Field, a: np.ndarray, pivots: list[tuple[int, int]]) -> None:
-    # Clear entries above each (already normalized) pivot.
-    for r, c in reversed(pivots):
-        a[:r, c:] = f.sub_arr(a[:r, c:], f.mul_arr(a[:r, c, None], a[r, c:]))
 
 
 class FeMat:
@@ -152,10 +150,29 @@ class FeMat:
             return SolveResult(SolveStatus.NO_SOLUTION)
         if rank < ncols:
             return SolveResult(SolveStatus.UNDERDETERMINED)
-        _back_eliminate(f, aug, pivots)
+        # Back-substitution on the unit upper triangle U in rows 0, ..., ncols
+        # - 1: x_c = y_c - sum_(j>c) U_cj x_j, in the log domain, counting
+        # one product per nonzero U_cj x_j.
+        exp2, log = f._exp2, f.log
+        prime, p = f.kind == "prime", f.p
+        u = aug[:ncols].tolist()
         x = [0] * ncols
-        for r, c in pivots:
-            x[c] = int(aug[r, ncols])
+        known: list[tuple[int, int]] = []  # (j, log x_j) for each nonzero x_j, j > c
+        muls = 0
+        for c in range(ncols - 1, -1, -1):
+            row = u[c]
+            acc = row[ncols]
+            for j, xl in known:
+                if row[j]:
+                    muls += 1
+                    v = exp2[log[row[j]] + xl]
+                    acc = acc - v if prime else acc ^ v
+            if prime:
+                acc %= p
+            x[c] = acc
+            if acc:
+                known.append((c, log[acc]))
+        add_mul_ops(muls)
         return SolveResult(SolveStatus.UNIQUE, tuple(x))
 
     def __matmul__(self, other: "FeMat") -> "FeMat":

@@ -29,10 +29,13 @@ exact numpy integer kernels used by the matrix and codec layers.  All
 arithmetic is exact, never floating point.
 
 Element validation (`check` for one value, `asarray` for a sequence)
-accepts Python ints (bools included) and numpy integer scalars in
-[0, q).  `asarray` validates a whole sequence in one numpy pass and
-falls back to `check`, element by element, for anything else, so both
-accept the same values and name the first value they reject.
+accepts what `operator.index` accepts (Python ints, bools included,
+numpy integer scalars and 0-d integer arrays, any class with
+`__index__`) in [0, q).  `asarray` packs a list or tuple with
+`array.array("q")`, which takes the same values within int64, and
+range-checks it in one numpy pass; it falls back to `check`, element by
+element, for anything else, so both accept the same values and name the
+first value they reject.
 
 Polynomial evaluation, `eval_at_powers`, has two paths and one rule
 between them.  The direct sum forms every term of every point as one
@@ -83,7 +86,9 @@ build equal values, and either is kept.
 
 from __future__ import annotations
 
+import array
 import math
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -366,10 +371,15 @@ class Field:
     # ----- scalar arithmetic ----------------------------------------------------
 
     def check(self, a: int) -> int:
-        """Validate that `a` is a canonical element and return it."""
-        if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:
+        """Validate that `a` is a canonical element and return it: an
+        integer as `operator.index` takes it, in [0, q)."""
+        try:
+            value = operator.index(a)
+        except TypeError:
+            value = -1
+        if not 0 <= value < self.q:
             raise ValueError(f"{a!r} is not an element of GF({self.q})")
-        return int(a)
+        return value
 
     def add(self, a: int, b: int) -> int:
         if self.kind == "prime":
@@ -437,19 +447,20 @@ class Field:
 
         Accepts exactly what `check` accepts, element by element: a value
         `check` rejects raises its ValueError.  Integer arrays, and lists or
-        tuples of Python or numpy integers, are range-checked in one numpy
-        pass; anything else goes through `check` one element at a time.
+        tuples that `array.array("q")` packs (it takes what
+        `operator.index` takes, within int64), are range-checked in one
+        numpy pass; anything else goes through `check` one element at a
+        time.
         """
         if isinstance(values, np.ndarray):
             a = values if values.dtype.kind in "iu" else None
         else:
             if not isinstance(values, (list, tuple)):
                 values = list(values)
-            a = None
-            if all(issubclass(t, (int, np.integer)) for t in set(map(type, values))):
-                a = np.asarray(values)
-                if a.dtype.kind not in "iub":
-                    a = None  # ints no 64-bit dtype holds infer float or object
+            try:
+                a = np.frombuffer(array.array("q", values), np.int64)
+            except (TypeError, OverflowError):
+                a = None
         if a is not None and (a.size == 0 or (a.min() >= 0 and a.max() < self.q)):
             return a.astype(np.int64, copy=False)
         return np.array([self.check(x) for x in values], dtype=np.int64)

@@ -40,8 +40,8 @@ def test_pgz_single_error_fixture(rs72):
     assert out.error == (0, 2, 0, 0, 0, 0)
     assert out.error_count == 1
     assert out.locator == Poly(rs72.field, (2, 1))
-    # rank(H_2) = 1 decides h = 2 (singular), one determinant decides
-    # h = 1 (nonsingular): two candidates decided
+    # rank(H_2) = 1 decides h = 2 (singular), and its one pivot, in column
+    # 0, decides h = 1 (nonsingular): two candidates decided
     assert out.trace.det_checks == 2
     assert out.trace.rank_checks == 0
 
@@ -68,6 +68,42 @@ def test_pgz_too_many_errors_deterministic():
         pgz_decode(code, (2, 1, 0, 0, 0, 0))
     # every h from tau down to 1 was decided, each one singular
     assert exc_info.value.trace.det_checks == code.tau
+
+
+def test_pgz_forms_no_determinant_within_the_radius(monkeypatch):
+    # For 1 <= t <= tau errors the elimination that gives rank(H_tau) = t
+    # also shows H_t nonsingular, so no decode forms a determinant.
+    calls = []
+    det = FeMat.det
+
+    def counted_det(self):
+        calls.append(self.shape)
+        return det(self)
+
+    monkeypatch.setattr(FeMat, "det", counted_det)
+    rng = random.Random(35)
+    for q, k in ((7, 2), (13, 4), (16, 6), (256, 223), (257, 200)):
+        code = get_code(q, k)
+        for t in range(1, code.tau + 1):
+            cw = code.encode([rng.randrange(q) for _ in range(k)])
+            out = pgz_decode(code, corrupt(rng, code, cw, t))
+            assert out.codeword == cw and out.trace.det_checks == code.tau - t + 1
+    assert calls == []
+
+
+def test_pgz_without_correction_radius():
+    # tau = 0: H_tau is 0 x 0, a codeword decodes with no check, and any
+    # other word is TooManyErrors with det_checks = tau = 0.
+    for q, k in ((7, 5), (8, 6), (257, 255)):
+        code = get_code(q, k)
+        assert code.tau == 0
+        cw = code.encode(list(range(1, k + 1)))
+        out = pgz_decode(code, cw)
+        assert out.codeword == cw and out.error_count == 0 and out.trace.det_checks == 0
+        word = (cw[0] + 1) % q if q % 2 else cw[0] ^ 1
+        with pytest.raises(TooManyErrors) as exc_info:
+            pgz_decode(code, (word,) + cw[1:])
+        assert exc_info.value.trace.det_checks == 0
 
 
 def test_pgz_validates_word(rs72):
@@ -165,11 +201,22 @@ def _counted(fn, *args):
                        out.trace, out.message)
 
 
+def _singular_leading_block(code, synd):
+    """Whether rank(H_tau) = r is below tau with H_r singular: the one case
+    in which the determinant scan goes on to determinants."""
+    def hankel(h):
+        return FeMat._wrap(code.field, synd[np.add.outer(np.arange(h), np.arange(h))])
+
+    r = hankel(code.tau).rank()
+    return 0 < r < code.tau and hankel(r).det() == 0
+
+
 def test_determinant_scan_matches_descending_scan():
     # Starting the scan at h = rank(H_tau) decides the same h as the classic
     # scan from tau down, with the same det_checks, locator and failures, and
     # never forms more products: rank(H_tau) is the elimination det(H_tau)
-    # makes, and the scan's determinants are a subset of the classic ones.
+    # makes, its pivots decide h = r, and the scan's determinants, formed
+    # only below a singular H_r, are a subset of the classic ones.
     rng = random.Random(34)
     codes = [(get_code(7, 2, alpha=5), range(0, 5)),
              (get_code(7, 5), range(0, 3)),  # tau = 0: H_tau is 0 x 0
@@ -191,24 +238,39 @@ def test_determinant_scan_matches_descending_scan():
             assert new == ref, (code, u)
             assert new_count <= ref_count, (code, u)
             kinds.add(new[0] if isinstance(new[0], type) else "decoded")
-        sparse = [[r - 1]] + [rng.sample(range(r), min(r, w)) for w in (1, 2, 3)]
-        for support in sparse:
+            if _singular_leading_block(code, np.array(code.syndromes(u))):
+                kinds.add("singular H_r")
+        synds = []
+        for support in [[r - 1]] + [rng.sample(range(r), min(r, w)) for w in (1, 2, 3)]:
             synd = np.zeros(r, dtype=np.int64)
             synd[support] = [rng.randrange(1, q) for _ in support]
+            synds.append(synd)
+        if code.tau >= 3:
+            # s_j = a^j plus d at j = 2 tau - 2, the corner of H_tau: rank 2
+            # with H_2 singular, so the scan goes on to det(H_1) = 1.
+            f = code.field
+            a, d = rng.randrange(1, q), rng.randrange(1, q)
+            synd = np.array([f.pow(a, j) for j in range(r)], dtype=np.int64)
+            synd[2 * code.tau - 2] = f.add(synd[2 * code.tau - 2], d)
+            synds.append(synd)
+        for synd in synds:
             new_trace, ref_trace = DecodeTrace(), DecodeTrace()
             new_count, new = _counted(_determinant_scan, code, synd, new_trace)
             ref_count, ref = _counted(_descending_scan, code, synd, ref_trace)
             assert (new, new_trace) == (ref, ref_trace), (code, synd)
             assert new_count <= ref_count, (code, synd)
             kinds.add(new[0] if isinstance(new[0], type) else "located")
-    assert {TooManyErrors, "decoded", "located"} <= kinds
+            if _singular_leading_block(code, synd):
+                kinds.add("singular H_r" if isinstance(new[0], type) else "located past H_r")
+    assert {TooManyErrors, "decoded", "located", "singular H_r", "located past H_r"} <= kinds
 
 
 def test_determinant_scan_cost():
-    # One elimination of H_tau decides every h above its rank t, and one
-    # t x t determinant decides h = t: on the t = 50 word of RS(255,4),
-    # 627 664 products, where a determinant for each h = 125, ..., 50 takes
-    # 17 653 911.  Both counts are deterministic.
+    # One elimination of H_tau decides every h above its rank t, and its
+    # pivots decide h = t: on the t = 50 word of RS(255,4), 583 854
+    # products (512 058 of them in the elimination, 45 080 in the locator
+    # solve), where a determinant for each h = 125, ..., 50 takes
+    # 17 653 911.  All the counts are deterministic.
     rng = random.Random(256)
     code = get_code(256, 4)
     cw = code.encode([rng.randrange(256) for _ in range(4)])

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from rscodec import FeMat, SolveStatus, vandermonde
+from rscodec import FeMat, MulOpCounter, SolveResult, SolveStatus, vandermonde
+from rscodec.femat import _eliminate
 
 from .util import det_cofactor, get_field
 
@@ -167,6 +168,86 @@ def test_solve_known_solution_roundtrip(f7):
         b = [row[0] for row in (m @ FeMat(f7, [[v] for v in x])).to_lists()]
         res = m.solve(b)
         assert res.is_unique() and list(res.solution) == x
+
+
+def _solve_by_back_elimination(m, b):
+    """`FeMat.solve` as it was before back-substitution: every pivot clears
+    the whole block above it with one broadcast `mul_arr`."""
+    f, ncols = m.field, m.cols
+    aug = np.concatenate([m._a, f.asarray(b)[:, None]], axis=1)
+    pivots, _ = _eliminate(f, aug, ncols)
+    rank = len(pivots)
+    if aug[rank:, ncols].any():
+        return SolveResult(SolveStatus.NO_SOLUTION)
+    if rank < ncols:
+        return SolveResult(SolveStatus.UNDERDETERMINED)
+    for r, c in reversed(list(enumerate(pivots))):
+        aug[:r, c:] = f.sub_arr(aug[:r, c:], f.mul_arr(aug[:r, c, None], aug[r, c:]))
+    x = [0] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = int(aug[r, ncols])
+    return SolveResult(SolveStatus.UNIQUE, tuple(x))
+
+
+@pytest.mark.parametrize("q, kw", [(7, {}), (8, {}), (16, {"reduction": 0x19}),
+                                   (256, {}), (257, {})])
+def test_solve_matches_back_elimination(q, kw):
+    # Back-substitution gives the same result as clearing every pivot's
+    # column above it, and never forms more products: it skips the
+    # products by the pivot's 1 and by a zero x_j.
+    f = get_field(q, **kw)
+    rng = random.Random(q * 7 + len(kw))
+    statuses, fewer = set(), 0
+    for _ in range(600):
+        rows, cols = rng.randrange(0, 7), rng.randrange(0, 7)
+        density = rng.random()
+        a = [[rng.randrange(1, q) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            a[-1] = list(a[0])  # a dependent row
+        b = [rng.randrange(q) if rng.random() < density else 0 for _ in range(rows)]
+        m = FeMat(f, a) if rows else FeMat._wrap(f, np.zeros((0, cols), dtype=np.int64))
+        with MulOpCounter() as new_ctr:
+            got = m.solve(b)
+        with MulOpCounter() as ref_ctr:
+            want = _solve_by_back_elimination(m, b)
+        assert got == want, (a, b)
+        assert new_ctr.count <= ref_ctr.count, (a, b)
+        statuses.add(got.status)
+        fewer += new_ctr.count < ref_ctr.count
+    assert statuses == set(SolveStatus)
+    assert fewer > 0
+
+
+@pytest.mark.parametrize("q", [7, 16, 257])
+def test_pivots_decide_the_leading_block(q):
+    # A symmetric matrix of rank r, such as a Hankel matrix, has a
+    # nonsingular leading r x r block iff its pivots sit in columns 0, ...,
+    # r - 1; the PGZ determinant scan relies on it.
+    f = get_field(q)
+    rng = random.Random(q * 3)
+    seen = set()
+    for _ in range(400):
+        n, r = rng.randrange(1, 7), rng.randrange(0, 4)
+        outer = FeMat._wrap(f, np.array([[rng.randrange(q) if rng.random() < 0.7 else 0
+                                          for _ in range(n)] for _ in range(r)],
+                                        dtype=np.int64).reshape(r, n))
+        inner = np.zeros((r, r), dtype=np.int64)
+        for i in range(r):
+            for j in range(i, r):
+                inner[i, j] = inner[j, i] = rng.randrange(q)
+        m = outer.T @ FeMat._wrap(f, inner) @ outer
+        assert m == m.T
+        pivots, _ = _eliminate(f, m._a.copy(), n)
+        rank = len(pivots)
+        lead = FeMat._wrap(f, m._a[:rank, :rank].copy()).det() != 0
+        assert lead == (pivots == list(range(rank))), m
+        seen.add(lead)
+    assert seen == {True, False}
+    # Symmetry is needed: this matrix has its one pivot in column 0, yet
+    # its leading 1 x 1 block is 0.
+    pivots, _ = _eliminate(f, np.array([[0, 0], [1, 0]], dtype=np.int64), 2)
+    assert pivots == [0]
 
 
 # ----- matmul -------------------------------------------------------------------------

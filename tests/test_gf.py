@@ -524,14 +524,29 @@ def test_asarray_validates_range(f7):
     assert f7.asarray(iter([1, 2])).dtype == np.int64
 
 
+class _Index:
+    """An integer only through `__index__`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
 # Scalars that `check` accepts (with their value) or rejects; `asarray`
 # must agree with it element by element.
 ELEMENT_CASES = [
     (6, 6), (True, 1), (False, 0), (np.uint8(3), 3), (np.int64(6), 6),
+    (np.array(5), 5), (np.array(2, dtype=np.uint8), 2), (_Index(4), 4),
     (7, None), (-1, None), (2.0, None), (2.5, None), (2 ** 70, None),
     (np.float64(2.0), None), (np.True_, None), ("3", None), (None, None),
     (np.array([1], dtype=np.uint8), None), (np.array([1], dtype=np.int64), None),
-    (np.array([1.0]), None),
+    (np.array([1.0]), None), (np.array(2.0), None), (np.array(7), None),
+    (np.uint64(2 ** 64 - 1), None), (_Index(-1), None), (_Index(2 ** 70), None),
 ]
 
 

@@ -26,11 +26,15 @@ def test_trailing_zeros_trimmed(f7):
     f8 = get_field(8)
     for f, coeffs in ((f8, [9]), (f8, [-1, 1]), (f7, [1.7]), (f7, [2.0]), (f7, [1, 7, 0]),
                       (f7, [2 ** 70]), (f7, ["3"]), (f7, [None]), (f7, [np.float64(1)]),
-                      (f7, [np.array(3)]), (f7, np.array([1.0, 2.0]))):
+                      (f7, [np.array(3.0)]), (f7, [np.array([3])]), (f7, [np.array(7)]),
+                      (f7, np.array([1.0, 2.0]))):
         with pytest.raises(ValueError, match=r"is not an element of GF"):
             Poly(f, coeffs)
     p = Poly(f7, [True, np.uint8(6), np.int64(2), 0])
     assert p.coeffs == (1, 6, 2) and all(type(c) is int for c in p.coeffs)
+    # `check` takes what `operator.index` takes, 0-d integer arrays included
+    p = Poly(f7, [np.array(3), np.array(0)])
+    assert p.coeffs == (3,) and type(p.coeffs[0]) is int
     assert Poly(f7, np.array([3, 0, 4, 0])).coeffs == (3, 0, 4)
     assert Poly(f7, np.array([], dtype=np.int64)).is_zero()
     assert Poly(f8, [7, 1]) * Poly(f8, [3, 1]) == Poly(f8, [f8.mul(7, 3), 7 ^ 3, 1])

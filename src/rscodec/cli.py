@@ -29,7 +29,7 @@ evaluates each chunk once, at every power of alpha
 (`decode_interp.decode_blocks`), which gives every block its syndromes
 and its message.  So the `mul_count` of a --stats line counts the field
 multiplications of that block's own stages after the evaluation; the
-evaluation is counted once, in the global counter, and in no block's
+evaluation is counted once, in the thread's counter, and in no block's
 line.
 """
 

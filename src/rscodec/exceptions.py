@@ -9,15 +9,13 @@ class DecodeFailure(Exception):
     Every subclass states the stage that failed; `reason` is a stable
     machine-readable tag used in CLI statistics output.  `trace` is the
     DecodeTrace of the decoded row, with its work counters up to the
-    failure point: every failure a decoder raises carries it, and the
-    stand-alone stage functions raise with `trace=None`.
+    failure point: the decoder pipeline attaches it to every failure it
+    raises, and a failure raised by a stand-alone stage function keeps the
+    class default None.
     """
 
     reason = "decode_failure"
-
-    def __init__(self, message: str = "", *, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    trace = None
 
 
 class TooManyErrors(DecodeFailure):

@@ -69,7 +69,7 @@ field, and the one per-field table that grows with q^2 stops at
 `_EVAL_BLOCK` entries (254 KiB for GF(256)).  A (B, L) array of
 coefficients is B polynomials evaluated in one call.
 
-The module keeps a global count of field multiplications (including
+The module keeps a count of field multiplications per thread (including
 inversions and divisions, and the element products performed inside bulk
 kernels) so callers can compare the multiplicative cost of algorithms.
 A product counts one when both factors are nonzero and nothing
@@ -78,15 +78,20 @@ zero checks, `mul_arr` the nonzero entries of its result (in a field a
 product is nonzero exactly when both factors are), the direct sum
 count x (nonzero coefficients), the transform n_i for each nonzero
 input of an axis pass (its tables hold only powers of alpha), so it
-counts fewer than the direct sum it replaces.  The counter is a plain
-module global and is not thread safe.  The lazily built transform plan
-and exponent table are safe to share: threads that race to build one
-build equal values, and either is kept.
+counts fewer than the direct sum it replaces.  Each thread counts its own
+products: the count is a one-element list held in a context variable,
+which a thread makes on its first product or count read (a new thread
+starts with an empty context), so two threads decoding at once never see
+each other's products.  A context copied from the thread's after that,
+as an asyncio task's is, shares the thread's count.  The lazily built
+transform plan and exponent table are safe to share: threads that race
+to build one build equal values, and either is kept.
 """
 
 from __future__ import annotations
 
 import array
+import contextvars
 import math
 import operator
 from typing import Iterable, NamedTuple, Sequence
@@ -148,32 +153,42 @@ _TRANSFORM_BLOCK = 1 << 14
 # message (0.29 -> 0.10 ms) take the transform.
 _TRANSFORM_COST = 2
 
-_mul_ops = 0
+# The calling thread's multiplication count, [count]; a product bumps it
+# inline as `(_mul_ops.get(None) or _new_mul_ops())[0] += 1`.  The importing
+# thread's count is made here, so the asyncio tasks it runs share it.
+_mul_ops: contextvars.ContextVar[list[int]] = contextvars.ContextVar("mul_ops")
+_mul_ops.set([0])
+
+
+def _new_mul_ops() -> list[int]:
+    ops = [0]
+    _mul_ops.set(ops)
+    return ops
 
 
 def mul_ops_total() -> int:
-    """Running count of field multiplications performed so far."""
-    return _mul_ops
+    """Running count of the field multiplications this thread performed."""
+    return (_mul_ops.get(None) or _new_mul_ops())[0]
 
 
 def add_mul_ops(count: int) -> None:
-    """Add `count` to the global multiplication counter (used by kernels)."""
-    global _mul_ops
-    _mul_ops += count
+    """Add `count` to this thread's multiplication counter (used by kernels)."""
+    (_mul_ops.get(None) or _new_mul_ops())[0] += count
 
 
 class MulOpCounter:
-    """Context manager measuring multiplications performed inside a block."""
+    """Context manager measuring the multiplications this thread performs
+    inside a block."""
 
     __slots__ = ("start", "count")
 
     def __enter__(self) -> "MulOpCounter":
-        self.start = _mul_ops
+        self.start = mul_ops_total()
         self.count = 0
         return self
 
     def __exit__(self, *exc) -> None:
-        self.count = _mul_ops - self.start
+        self.count = mul_ops_total() - self.start
 
 
 def _is_prime(x: int) -> bool:
@@ -399,15 +414,13 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        global _mul_ops
-        _mul_ops += 1
+        (_mul_ops.get(None) or _new_mul_ops())[0] += 1
         return self._exp2[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        global _mul_ops
-        _mul_ops += 1
+        (_mul_ops.get(None) or _new_mul_ops())[0] += 1
         return self._exp2[self.q - 1 - self.log[a]]
 
     def div(self, a: int, b: int) -> int:
@@ -415,8 +428,7 @@ class Field:
             raise ZeroDivisionError(f"division by zero in GF({self.q})")
         if a == 0:
             return 0
-        global _mul_ops
-        _mul_ops += 1
+        (_mul_ops.get(None) or _new_mul_ops())[0] += 1
         return self._exp2[self.log[a] - self.log[b] + self.q - 1]
 
     def pow(self, a: int, e: int) -> int:
@@ -426,8 +438,7 @@ class Field:
             if e < 0:
                 raise ZeroDivisionError(f"0 has no negative powers in GF({self.q})")
             return 0
-        global _mul_ops
-        _mul_ops += 1
+        (_mul_ops.get(None) or _new_mul_ops())[0] += 1
         n = self.q - 1
         return self.exp[(self.log[a] * e) % n]
 
@@ -440,7 +451,7 @@ class Field:
     # ----- bulk numpy kernels ---------------------------------------------------
     #
     # All kernels take/return int64 arrays of canonical elements and account
-    # their element products to the global multiplication counter.
+    # their element products to the thread's multiplication counter.
 
     def asarray(self, values: Iterable[int]) -> np.ndarray:
         """Validate `values` as elements and return them as an int64 array.

@@ -74,7 +74,7 @@ def _codebook(f: Field, k: int) -> np.ndarray:
 def brute_nearest(code: RSCode, word: Sequence[int]) -> OracleResult:
     """Exhaustively nearest codeword; ties resolved to the lexicographically
     smallest message, with unique=False reported."""
-    word = code._word_array(word)
+    word = code._checked(word)
     book = codebook(code)
     dists = np.count_nonzero(book != np.asarray(word, dtype=np.int32), axis=1)
     idx = int(np.argmin(dists))

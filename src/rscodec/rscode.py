@@ -35,7 +35,7 @@ from .poly import Poly
 class RSCode:
     """Parameters of RS(q, alpha, k) plus cached structure matrices."""
 
-    __slots__ = ("field", "k", "n", "d", "tau", "_gen", "_par")
+    __slots__ = ("field", "k", "n", "d", "tau", "_gen", "_par", "_sizes")
 
     def __init__(self, field: Field, k: int):
         n = field.q - 1
@@ -48,20 +48,21 @@ class RSCode:
         self.tau = (n - k) // 2
         self._gen = None
         self._par = None
+        self._sizes = {"word": (n, "n"), "message": (k, "k"),
+                       "syndrome vector": (n - k, "n - k")}
 
     # ----- validation -----------------------------------------------------------
-    # One validator per kind, returning the int64 array (one numpy pass); a
-    # decoder validates its word once and keeps that array to the outcome.
+    # One validator for every input kind, returning the int64 array (one numpy
+    # pass); a decoder validates its word once and keeps that array to the
+    # outcome.
 
-    def _word_array(self, word: Sequence[int]) -> np.ndarray:
-        if len(word) != self.n:
-            raise ValueError(f"word length {len(word)} != n = {self.n}")
-        return self.field.asarray(word)
-
-    def _message_array(self, message: Sequence[int]) -> np.ndarray:
-        if len(message) != self.k:
-            raise ValueError(f"message length {len(message)} != k = {self.k}")
-        return self.field.asarray(message)
+    def _checked(self, values: Sequence[int], kind: str = "word") -> np.ndarray:
+        """A word (length n), message (k) or syndrome vector (n - k) as an
+        int64 array, after one length check and one element check."""
+        size, name = self._sizes[kind]
+        if len(values) != size:
+            raise ValueError(f"{kind} length {len(values)} != {name} = {size}")
+        return self.field.asarray(values)
 
     # ----- structure matrices (lazy, observationally immutable) ------------------
 
@@ -82,7 +83,7 @@ class RSCode:
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Evaluate the message polynomial at alpha^0, ..., alpha^(n-1)."""
-        return tuple(self.encode_blocks(self._message_array(message)[None])[0].tolist())
+        return tuple(self.encode_blocks(self._checked(message, "message")[None])[0].tolist())
 
     def encode_blocks(self, messages: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         """Encode B messages, the rows of a (B, k) array, into a (B, n) array."""
@@ -91,7 +92,7 @@ class RSCode:
                 raise ValueError(f"messages shape {messages.shape} is not (B, k = {self.k})")
             msgs = self.field.asarray(messages)
         else:
-            msgs = np.array([self._message_array(m) for m in messages],
+            msgs = np.array([self._checked(m, "message") for m in messages],
                             dtype=np.int64).reshape(-1, self.k)
         return self.field.eval_at_powers(msgs, first=0, count=self.n)
 
@@ -102,11 +103,11 @@ class RSCode:
         determines the interpolation polynomial, so decoders evaluate once
         and reuse.
         """
-        return self.field.eval_at_powers(self._word_array(word), first=1, count=self.n)
+        return self.field.eval_at_powers(self._checked(word), first=1, count=self.n)
 
     def syndromes(self, word: Sequence[int]) -> tuple[int, ...]:
         """u(alpha^1), ..., u(alpha^(n-k)); all zero iff word is a codeword."""
-        vals = self.field.eval_at_powers(self._word_array(word), first=1,
+        vals = self.field.eval_at_powers(self._checked(word), first=1,
                                          count=self.n - self.k)
         return tuple(vals.tolist())
 

@@ -37,7 +37,15 @@ from rscodec.decode_interp import (
 )
 from rscodec.oracle import brute_nearest
 
-from .util import ball_volume, corrupt, get_code, get_field, random_word, whole_space_accepted
+from .util import (
+    ball_volume,
+    class_law_accepted,
+    corrupt,
+    get_code,
+    get_field,
+    random_word,
+    whole_space_accepted,
+)
 
 U = (4, 2, 1, 6, 3, 2)   # codeword of (5, 6) with error 2 at position 1
 W = (0, 2, 5, 6, 0, 6)   # codeword of (3, 4) with errors at positions 4, 5
@@ -468,7 +476,7 @@ def test_decode_codeword_fixture(rs72, monkeypatch):
     def no_elimination(code, syndromes):
         raise AssertionError("the rank scan eliminated zero syndromes")
 
-    monkeypatch.setattr("rscodec.decode_interp.detect_error_count", no_elimination)
+    monkeypatch.setattr("rscodec.decode_interp._rank_count", no_elimination)
     out = decode(rs72, V)
     assert out.codeword == V
     assert out.error == (0,) * 6
@@ -671,6 +679,23 @@ def test_whole_space_ball_volume(q, k, accepted):
     code = get_code(q, k)
     assert ball_volume(code) == accepted
     assert whole_space_accepted(code) == accepted
+
+
+def test_class_law_binary_tau_two():
+    # GF(8) k = 3, the first binary space with tau >= 2, has 8^7 words: too
+    # many for the whole-space law, but one word per syndrome class decides
+    # it.  Each decoder accepts exactly the sum_(i <= 2) C(7, i) 7^i error
+    # patterns, each in its own class.
+    code = get_code(8, 3)
+    assert ball_volume(code) == 8 ** 3 * 1079
+    assert class_law_accepted(code, random.Random(8)) == 1079
+
+
+def test_class_law_matches_whole_space():
+    # On GF(5)^4 the class law and the whole-space law count the same
+    # space: q^k words in each accepted class.
+    code = get_code(5, 2)
+    assert whole_space_accepted(code) == 5 ** 2 * class_law_accepted(code, random.Random(5))
 
 
 def test_locator_factors_over_error_positions():

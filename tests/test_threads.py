@@ -1,50 +1,51 @@
 """Decoders on one field from several threads at once."""
 
+import asyncio
 import random
 import sys
 import threading
 
-from rscodec import Field, RSCode, decode, pgz_decode
+from rscodec import Field, MulOpCounter, RSCode, bm_decode, decode, pgz_decode
 
 from .util import corrupt
 
 
+def _words(code, seed, weight):
+    rng = random.Random(seed)
+    words = []
+    for i in range(50):
+        cw = code.encode([rng.randrange(code.field.q) for _ in range(code.k)])
+        words.append(corrupt(rng, code, cw, weight(i)))
+    return words
+
+
 def _outcomes(code, words):
-    # Everything an outcome reports except multiplication counts, which the
-    # module-global counter mixes between threads.
+    # Everything an outcome reports, and the products each decode counts,
+    # the message read included.
     out = []
     for word in words:
         for decoder in (decode, pgz_decode):
-            o = decoder(code, word)
-            out.append((o.codeword, o.error, o.error_count, o.locator, o.trace, o.message))
+            with MulOpCounter() as ops:
+                o = decoder(code, word)
+                message = o.message
+            out.append((o.codeword, o.error, o.error_count, o.locator, o.trace, message,
+                        ops.count))
     return out
 
 
-def test_two_threads_share_a_fresh_field():
-    # Both threads start on a barrier with the field's lazily built tables
-    # still unbuilt, so both may build them; each must decode exactly as
-    # one thread alone does.
-    ref = RSCode(Field(256), 223)
-    rng = random.Random(21)
-    words = []
-    for i in range(50):
-        cw = ref.encode([rng.randrange(256) for _ in range(223)])
-        words.append(corrupt(rng, ref, cw, i % (ref.tau + 1)))
-    want = _outcomes(ref, words)
-
-    code = RSCode(Field(256), 223)
-    assert code.field._powers is None and code.field._plan is None
+def _in_two_threads(work):
+    """work() in threads "a" and "b" started on one barrier; their results."""
     barrier = threading.Barrier(2, timeout=60)
     got, errors = {}, []
 
-    def work(name):
+    def run(name):
         try:
             barrier.wait()
-            got[name] = _outcomes(code, words)
+            got[name] = work()
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(name,)) for name in "ab"]
+    threads = [threading.Thread(target=run, args=(name,)) for name in "ab"]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch often, inside the table builds too
     try:
@@ -56,4 +57,53 @@ def test_two_threads_share_a_fresh_field():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors
+    return got
+
+
+def test_two_threads_share_a_fresh_field():
+    # Both threads start with the field's lazily built tables still unbuilt,
+    # so both may build them; each must decode, and count its products,
+    # exactly as one thread alone does.
+    ref = RSCode(Field(256), 223)
+    words = _words(ref, 21, lambda i: i % (ref.tau + 1))
+    want = _outcomes(ref, words)
+
+    code = RSCode(Field(256), 223)
+    assert code.field._powers is None and code.field._plan is None
+    got = _in_two_threads(lambda: _outcomes(code, words))
     assert got["a"] == want and got["b"] == want
+
+
+def test_two_threads_count_only_their_own_products():
+    # 50 `bm` decodes at t = 8 inside one MulOpCounter per thread.  With one
+    # module-wide count, each of two threads read 0.9 to 1.1 million products
+    # for the 552 530 that one thread alone counts.
+    code = RSCode(Field(256), 223)
+    words = _words(code, 8, lambda i: 8)
+
+    def work():
+        with MulOpCounter() as ops:
+            for word in words:
+                bm_decode(code, word)
+        return ops.count
+
+    want = work()
+    assert _in_two_threads(work) == {"a": want, "b": want}
+
+
+def test_asyncio_tasks_count_in_their_thread():
+    # A task runs in a copy of its thread's context, taken after the
+    # thread's count exists, so its products land in that count.
+    f = Field(7)
+
+    async def work():
+        for _ in range(5):
+            f.mul(3, 4)
+
+    def run():
+        with MulOpCounter() as ops:
+            asyncio.run(work())
+        return ops.count
+
+    assert run() == 5
+    assert _in_two_threads(run) == {"a": 5, "b": 5}

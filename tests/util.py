@@ -12,7 +12,10 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 from rscodec import DECODERS, DecodeFailure, DecodeTrace, Field, Poly, RSCode, hamming
+from rscodec.decode_interp import decode_blocks
 
 _fields: dict = {}
 _codes: dict = {}
@@ -130,3 +133,53 @@ def whole_space_accepted(code: RSCode) -> int:
         assert len(outs) == 1, u
         count += None not in outs
     return count
+
+
+def class_law_accepted(code: RSCode, rng: random.Random, samples: int = 200,
+                       chunk: int = 4096) -> int:
+    """Decode one word per syndrome class with every registered decoder,
+    through `decode_blocks`, and count the classes accepted.
+
+    The q^(n-k) words supported on positions 0, ..., n-k-1 are one per
+    class: their map to the syndromes is the invertible matrix
+    [alpha^((r+1)j)], r, j < n - k.  Every decoder's error word depends on
+    the syndromes alone, so the classes decide the whole space: all
+    decoders must accept the same classes with the same error, of weight
+    <= tau, and no two classes with one error, so the count is the number
+    of error patterns of weight <= tau.  `samples` classes, drawn by `rng`,
+    are also decoded one word at a time as u + c for a random codeword c,
+    which must give the same error, or a failure of the same type and
+    message.
+    """
+    f, n, k = code.field, code.n, code.k
+    q, r = f.q, n - k
+    sampled = set(rng.sample(range(q ** r), min(samples, q ** r)))
+    errors = set()
+    for lo in range(0, q ** r, chunk):
+        index = np.arange(lo, min(lo + chunk, q ** r), dtype=np.int64)
+        words = np.zeros((len(index), n), dtype=np.int64)
+        for j in range(r):
+            words[:, j] = index // q ** j % q
+        rows = [decode_blocks(code, words, name)[1] for name in DECODERS]
+        for i, word in zip(index.tolist(), words):
+            got = [row[i - lo] for row in rows]
+            if isinstance(got[0], DecodeFailure):
+                assert all(isinstance(x, DecodeFailure) for x in got), word
+            else:
+                error = got[0].error
+                assert all(not isinstance(x, DecodeFailure) and x.error == error
+                           for x in got), word
+                assert sum(map(bool, error)) <= code.tau and error not in errors, word
+                errors.add(error)
+            if i in sampled:
+                cw = code.encode([rng.randrange(q) for _ in range(k)])
+                shifted = f.add_arr(word, np.array(cw))
+                for (name, fn), want in zip(DECODERS.items(), got):
+                    try:
+                        out = fn(code, shifted)
+                    except DecodeFailure as exc:
+                        assert (type(exc), str(exc)) == (type(want), str(want)), (name, word)
+                    else:
+                        assert not isinstance(want, DecodeFailure), (name, word)
+                        assert out.error == want.error, (name, word)
+    return len(errors)

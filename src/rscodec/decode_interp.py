@@ -35,7 +35,8 @@ can raise, and raises its failures without a trace, as the tail does:
   its rank r, which decides every h > r (singular), and its pivot
   columns decide h = r, as the symmetric H_tau has a nonsingular H_r iff
   they are 0, ..., r - 1; only past a singular H_r does each h < r take
-  its own determinant), then `solve_locator`;
+  its own elimination, which finds h pivots iff H_h is nonsingular),
+  then `solve_locator`;
 - Berlekamp-Massey (`berlekamp_massey`).  Candidate t passes the rank
   check iff some length-t LFSR generates all n - k syndromes, so the
   paper's t is the sequence's linear complexity L, and lambda is the
@@ -60,9 +61,9 @@ the recurrence closes up on the top t iff the division is exact.  f_c's
 coefficients k and above are f_u's minus Q's, so the degree check needs
 no other evaluation, and the codeword is c_j = u_j - Q(alpha^j): one
 evaluation of Q on the orbit.  Where that would form more products than
-the word's other k evaluations, which give low(u) (a low-rate code, or a
-small field), the tail takes those instead, and the codeword is the
-encoding of the message low(u) - low(Q).  Positions
+the word's other k evaluations, which give low(u), and the encoding of
+the message low(u) - low(Q) together (a low-rate code), the tail takes
+those instead, and the codeword is that encoding.  Positions
 (`_error_positions_and_values`) reads the error positions off the
 locator's roots (a Chien search) and takes the error values from
 Forney's formula, which gives the solution of the t x t value system
@@ -117,7 +118,7 @@ class DecodeTrace:
     """Work counters and intermediate values of one decode call.
 
     rank_checks counts the rank scan's rank-equality tests, det_checks the
-    determinant scan's candidates h decided (not the determinants it forms:
+    determinant scan's candidates h decided (not the eliminations it runs:
     one rank decides every candidate above it); a scan that did not run
     leaves its counter at 0, so Berlekamp-Massey leaves both at 0.
     interp_degree and high_quotient are set by the recover tail only.
@@ -176,10 +177,11 @@ def pgz_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     successful decode of weight t >= 1, and tau when no weight fits
     (TooManyErrors).  One elimination of the tau x tau Hankel matrix gives
     its rank r and decides every h > r; for t <= tau errors r = t, and
-    the same elimination shows the t x t block nonsingular, so the scan
-    forms no determinant.  Only beyond the radius, where the r x r block
-    can be singular, does it form determinants, for h < r.  The locator
-    system is the only linear system it solves.
+    the same elimination shows the t x t block nonsingular.  Only beyond
+    the radius, where the r x r block can be singular, does it eliminate
+    again, once for each h < r it decides: H_h is nonsingular iff its
+    elimination finds h pivots.  The scan forms no determinant, and the
+    locator system is the only linear system it solves.
     """
     return _run(code, word, *_pipeline("pgz"))
 
@@ -340,7 +342,8 @@ def _determinant_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tup
     # span the row space: they are [H_r, H_r X] for some X and have rank r,
     # so H_r does.  Conversely a nonsingular H_r makes columns 0, ..., r - 1
     # independent, and they take the first r pivots.  Only a singular H_r
-    # (past the correction radius) leads to determinants, from h = r - 1.
+    # (past the correction radius) leads to more eliminations, one for each
+    # h from r - 1 down: H_h is nonsingular iff it has h pivots.
     tau = code.tau
     pivots, _ = _eliminate(code.field, _hankel(synd, tau, tau), tau)
     rank = len(pivots)
@@ -348,7 +351,7 @@ def _determinant_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tup
         trace.det_checks = tau - rank + 1
         return rank, solve_locator(code, synd, rank)
     for h in range(rank - 1, 0, -1):
-        if FeMat._wrap(code.field, _hankel(synd, h, h)).det() != 0:
+        if len(_eliminate(code.field, _hankel(synd, h, h), h)[0]) == h:
             trace.det_checks = tau - h + 1
             return h, solve_locator(code, synd, h)
     trace.det_checks = tau
@@ -473,14 +476,12 @@ def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
     n, k = code.n, code.k
     quot = _recovered_quotient(code, evals, locator, trace)
     if len(evals) < n and (f.eval_products(n, int(np.count_nonzero(quot)))
-                           > f.eval_products(k, int(np.count_nonzero(word)))):
+                           > f.eval_products(k, int(np.count_nonzero(word)))
+                           + f.eval_products(n, k)):
         # quot on the orbit would form more products than the word's other
-        # k evaluations, which give the message (then encoded) instead.  The
-        # comparison leaves out the encoding, and the k evaluations of the
-        # codeword that reading `message` costs the orbit route.  On one
-        # GF(257) k = 200 word with 8 errors the whole decode forms 122 534
-        # products on this route, and would form 85 926 on the orbit route,
-        # or 137 126 with `message` read.
+        # k evaluations, which give the message, and the message's encoding.
+        # The orbit route leaves `message` lazy: only a caller that reads it
+        # pays its k evaluations of the codeword.
         evals = np.concatenate((evals, f.eval_at_powers(word, first=n - k + 1, count=k)))
     if len(evals) == n:
         message = f.sub_arr(code.low_from_evaluations(evals[n - k:]), quot[:k])

@@ -3,16 +3,20 @@
 Entries are canonical field elements held in int64 numpy arrays, and the
 constructor validates them as `Field.asarray` does; all row reduction is
 exact field arithmetic (no floating point, no pivoting heuristics needed
-since any nonzero pivot is exact).  Each elimination step normalises the
-pivot row and clears the whole block below it with one broadcast
-`Field.mul_arr`, zero rows included, so a step counts one multiplication
-per product of two nonzero entries.  The elimination reports its pivot columns, off which
-the PGZ determinant scan reads det(H_r) != 0.  A unique solution is
-back-substituted on Python ints, one product per nonzero term.  Solving
-reports its outcome as a
-value (unique / no solution / underdetermined) rather than by raising,
-because singular systems are an expected, meaningful result for the
-decoders built on top.
+since any nonzero pivot is exact).  Each elimination step leaves its
+pivot on the diagonal, divides the entries right of it by it, and updates
+only the columns right of the pivot column in the rows below, zero rows
+included, with one broadcast `Field.mul_arr`; the zeros below the pivot
+are written, not computed.  So a step counts one multiplication per
+product of two nonzero entries right of its pivot, and the inverse.  The
+elimination returns its pivot columns, off which rank, solvability and
+the PGZ scan's nonsingular Hankel matrices are read, and the sign of its
+row swaps, which only `FeMat.det` reads: it multiplies the sign by the
+diagonal.  A unique solution is back-substituted on Python ints, one
+product per nonzero term.  Solving reports its outcome as a value
+(unique / no solution / underdetermined) rather than by raising, because
+singular systems are an expected, meaningful result for the decoders
+built on top.
 """
 
 from __future__ import annotations
@@ -42,15 +46,15 @@ class SolveResult:
 
 
 def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[int], int]:
-    """Row-reduce `a` in place, choosing pivots in the first `pivot_cols`
-    columns only.  Pivot rows are normalized to leading 1 and cleared below.
-    Returns the pivot columns, the i-th pivot sitting in row i, and the
-    determinant factor: the field product of pre-normalization pivots with
-    the swap sign folded in.
+    """Row-reduce `a` in place to echelon form, choosing pivots in the
+    first `pivot_cols` columns only.  The i-th pivot stays in row i; the
+    entries right of it are divided by it, and those below it are zero.
+    Returns the pivot columns and the sign of the row swaps, 1 or -1 in
+    the field.
     """
     rows = a.shape[0]
     pivots: list[int] = []
-    det = 1
+    sign = 1
     r = 0
     for c in range(pivot_cols):
         if r == rows:
@@ -61,15 +65,16 @@ def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[int], int
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-            det = f.neg(det)
+            sign = f.neg(sign)
         piv = int(a[r, c])
-        det = f.mul(det, piv)
         if piv != 1:
-            a[r, c:] = f.mul_arr(a[r, c:], f.inv(piv))
-        a[r + 1:, c:] = f.sub_arr(a[r + 1:, c:], f.mul_arr(a[r + 1:, c, None], a[r, c:]))
+            a[r, c + 1:] = f.mul_arr(a[r, c + 1:], f.inv(piv))
+        a[r + 1:, c + 1:] = f.sub_arr(a[r + 1:, c + 1:],
+                                      f.mul_arr(a[r + 1:, c, None], a[r, c + 1:]))
+        a[r + 1:, c] = 0
         pivots.append(c)
         r += 1
-    return pivots, det
+    return pivots, sign
 
 
 class FeMat:
@@ -135,7 +140,11 @@ class FeMat:
             return 1  # empty product
         work = self._a.copy()
         pivots, det = _eliminate(self.field, work, n)
-        return det if len(pivots) == n else 0
+        if len(pivots) < n:
+            return 0
+        for i in range(n):
+            det = self.field.mul(det, int(work[i, i]))
+        return det
 
     def solve(self, b: Sequence[int]) -> SolveResult:
         """Solve self @ x = b, classifying the outcome."""
@@ -150,9 +159,9 @@ class FeMat:
             return SolveResult(SolveStatus.NO_SOLUTION)
         if rank < ncols:
             return SolveResult(SolveStatus.UNDERDETERMINED)
-        # Back-substitution on the unit upper triangle U in rows 0, ..., ncols
-        # - 1: x_c = y_c - sum_(j>c) U_cj x_j, in the log domain, counting
-        # one product per nonzero U_cj x_j.
+        # Back-substitution on rows 0, ..., ncols - 1, divided right of their
+        # pivots: x_c = y_c - sum_(j>c) U_cj x_j, in the log domain, counting
+        # one product per nonzero U_cj x_j.  The pivots are not read.
         exp2, log = f._exp2, f.log
         prime, p = f.kind == "prime", f.p
         u = aug[:ncols].tolist()
@@ -182,13 +191,9 @@ class FeMat:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         f = self.field
         a, b = self._a, other._a
-        if f.kind == "prime":
-            out = (a @ b) % f.p
-            add_mul_ops(int(np.count_nonzero(a, axis=0) @ np.count_nonzero(b, axis=1)))
-        else:
-            out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-            for i in range(a.shape[0]):
-                out[i] = f.sum_arr(f.mul_arr(a[i][:, None], b), axis=0)
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        for i in range(a.shape[0]):
+            out[i] = f.sum_arr(f.mul_arr(a[i][:, None], b), axis=0)
         return FeMat._wrap(f, out)
 
     def __eq__(self, other) -> bool:

@@ -319,7 +319,8 @@ class Field:
             if not 1 <= alpha < q:
                 raise ValueError(f"alpha {alpha!r} is not a nonzero element of GF({q})")
             if not self._is_primitive_slow(alpha):
-                raise ValueError(f"alpha {alpha} does not have multiplicative order {n}")
+                under = f" under reduction {reduction:#x}" if self.kind == "binary" else ""
+                raise ValueError(f"alpha {alpha} does not have multiplicative order {n}{under}")
         self.alpha = alpha
 
         # Eager antilog/log tables over the whole multiplicative group, built

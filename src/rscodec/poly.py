@@ -7,9 +7,11 @@ The zero polynomial has an empty coefficient tuple and degree -infinity,
 which keeps the degree law deg(a*b) = deg(a) + deg(b) true without a
 special case.
 
-A product has one path at every size: in the log domain, one antilog
-lookup and one counted field multiplication per pair of nonzero
-coefficients.
+Products and long division are schoolbook loops over `Field.mul`, `add`,
+`sub` and `inv`, so a product counts one multiplication per pair of
+nonzero coefficients.  No decoder calls them: the decoders work on
+arrays, and these operations are the plain references the tests check
+the decoders' kernels against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import Field, add_mul_ops
+from .gf import Field
 
 
 class Poly:
@@ -88,32 +90,11 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_field(other)
         f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(f)
-        if len(a) < len(b):
-            a, b = b, a
-        # In the log domain: each nonzero b_i adds the copy of a's nonzero
-        # terms scaled by b_i, alpha^(log b_i + log a_j) at degree i + j,
-        # one product per nonzero pair.
-        av = np.asarray(a, dtype=np.int64)
-        idx = np.flatnonzero(av)
-        a_logs = f._log_np[av[idx]]
-        acc = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-        prime = f.kind == "prime"
-        nonzero_b = 0
-        for i, y in enumerate(b):
-            if y:
-                nonzero_b += 1
-                terms = f._exp2_np[a_logs + f.log[y]]
-                if prime:
-                    acc[i + idx] += terms
-                else:
-                    acc[i + idx] ^= terms
-        if prime:
-            acc %= f.p
-        add_mul_ops(nonzero_b * idx.size)
-        return Poly(f, acc.tolist())
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = f.add(out[i + j], f.mul(a, b))
+        return Poly(f, out)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check_field(other)
@@ -122,38 +103,19 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Poly.zero(f), self
-        # Long division in the log domain.  `terms` holds (j, log(d_j / lead))
-        # for the nonzero lower divisor coefficients, so each step is one
-        # lookup for the quotient coefficient c / lead and one per term for
-        # rem -= (c / lead) * d_j; the x^dd term of rem cancels exactly.
-        # Multiplications are counted as the scalar loop counts them: the
-        # inverse of the lead, then 1 + (nonzero d_j) per nonzero step.
+        # Long division: the inverse of the lead, then per nonzero step one
+        # product for the quotient coefficient and one per nonzero lower
+        # divisor coefficient; the x^dd term of the remainder cancels exactly.
         rem = list(self.coeffs)
-        den = other.coeffs
-        dd = len(den) - 1
-        n = f.q - 1
-        exp2, log = f._exp2, f.log
-        lead_log = log[den[-1]]
-        inv_log = n - lead_log
-        terms = [(j, (log[d] - lead_log) % n) for j, d in enumerate(den[:-1]) if d]
-        prime, p = f.kind == "prime", f.p
+        *lower, lead = other.coeffs
+        dd = len(lower)
+        inv_lead = f.inv(lead)
         quot = [0] * (len(rem) - dd)
-        steps = 0
-        for i in range(len(rem) - dd - 1, -1, -1):
-            c = rem[i + dd]
-            if c == 0:
-                continue
-            steps += 1
-            lc = log[c]
-            quot[i] = exp2[lc + inv_log]
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = f.mul(rem[i + dd], inv_lead)
             rem[i + dd] = 0
-            if prime:
-                for j, dl in terms:
-                    rem[i + j] = (rem[i + j] - exp2[lc + dl]) % p
-            else:
-                for j, dl in terms:
-                    rem[i + j] ^= exp2[lc + dl]
-        add_mul_ops(1 + steps * (len(terms) + 1))
+            for j, d in enumerate(lower):
+                rem[i + j] = f.sub(rem[i + j], f.mul(c, d))
         return Poly(f, quot), Poly(f, rem)
 
     def __call__(self, x: int) -> int:

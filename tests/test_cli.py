@@ -318,6 +318,18 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()  # drain error prints
 
 
+def test_non_primitive_alpha_names_the_reduction(tmp_path, capsys):
+    # The CLI builds GF(2^m) on its default reduction polynomial, 0x13 for
+    # GF(16), under which 6 is not primitive (it is under 0x19).
+    payload = tmp_path / "p"
+    payload.write_text("1")
+    assert run("encode", "--q", 16, "--k", 6, "--alpha", 6, payload, tmp_path / "s") == EXIT_USAGE
+    assert "alpha 6 does not have multiplicative order 15 under reduction 0x13" in (
+        capsys.readouterr().err)
+    run("encode", "--q", 7, "--k", 2, "--alpha", 2, payload, tmp_path / "s")
+    assert capsys.readouterr().err.rstrip().endswith("does not have multiplicative order 6")
+
+
 def test_data_errors(tmp_path, capsys):
     payload = tmp_path / "p"
     stream = tmp_path / "s"

@@ -233,6 +233,32 @@ def test_recover_tail_cost_and_structure(monkeypatch):
     assert calls == [(1, 251), (252, 4), (0, 255), (1, 251)]
 
 
+def test_recover_route_counts_the_message_encoding(monkeypatch):
+    # On GF(257) k = 200 at t = 8 the k route, the word's other 200
+    # evaluations and the encoding of the message they give, forms more
+    # products than the quotient on the orbit: the tail takes the orbit and
+    # leaves the message lazy.  The rule once weighed the quotient against
+    # the 200 evaluations alone and took the k route.
+    rng = random.Random(257)
+    code = get_code(257, 200)
+    msg = [rng.randrange(257) for _ in range(200)]
+    word = corrupt(rng, code, code.encode(msg), 8)
+    calls = []
+    field_cls = type(code.field)
+    eval_at_powers = field_cls.eval_at_powers
+
+    def recording_eval(self, coeffs, first=0, count=None):
+        calls.append((first, count))
+        return eval_at_powers(self, coeffs, first, count)
+
+    monkeypatch.setattr(field_cls, "eval_at_powers", recording_eval)
+    out = decode(code, word)
+    assert out.error_count == 8
+    assert calls == [(1, 56), (0, 256), (1, 56)]
+    assert out._message is None
+    assert out.message == tuple(msg)
+
+
 # ----- step 2: locator --------------------------------------------------------------
 
 def test_locator_fixtures(rs72):

@@ -12,7 +12,9 @@ from rscodec import (
     FeMat,
     MulOpCounter,
     Poly,
+    SingularLocatorSystem,
     TooManyErrors,
+    VerifyFailed,
     decode,
     decode_via_positions,
     pgz_decode,
@@ -263,6 +265,29 @@ def test_determinant_scan_matches_descending_scan():
             if _singular_leading_block(code, synd):
                 kinds.add("singular H_r" if isinstance(new[0], type) else "located past H_r")
     assert {TooManyErrors, "decoded", "located", "singular H_r", "located past H_r"} <= kinds
+
+
+def test_scan_past_a_singular_leading_block_forms_no_determinant(monkeypatch):
+    # Two GF(13) k = 5 words past the radius (tau = 3) with rank(H_3) = 2
+    # and H_2 singular: the scan decides h = 1 by whether the elimination
+    # of H_1 finds a pivot, and calls no `det`.
+    code = get_code(13, 5)
+    cases = [((12, 1, 8, 2, 0, 8, 3, 3, 7, 4, 3, 7), SingularLocatorSystem,
+              "locator constant term is zero, implying an error at the excluded point 0"),
+             ((10, 3, 4, 10, 10, 12, 2, 8, 8, 11, 0, 5), VerifyFailed,
+              "decoded word is not a codeword")]
+    for word, _, _ in cases:
+        assert _singular_leading_block(code, np.array(code.syndromes(word)))
+
+    def forbidden(self):
+        raise AssertionError("no decode calls FeMat.det")
+
+    monkeypatch.setattr(FeMat, "det", forbidden)
+    for word, failure, text in cases:
+        with pytest.raises(failure) as info:
+            pgz_decode(code, word)
+        assert str(info.value) == text
+        assert info.value.trace.det_checks == 3
 
 
 def test_determinant_scan_cost():

@@ -214,7 +214,7 @@ def test_eval_is_ring_homomorphism(q):
         assert (a * b)(x) == f.mul(a(x), b(x))
 
 
-def test_numpy_mul_path_matches_schoolbook():
+def test_mul_matches_sum_of_scaled_shifts():
     # Degree-80 products against a sum of scaled shifts.
     for q in (13, 256):
         f = get_field(q)

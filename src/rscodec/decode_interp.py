@@ -67,7 +67,8 @@ those instead, and the codeword is that encoding.  Positions
 (`_error_positions_and_values`) reads the error positions off the
 locator's roots (a Chien search) and takes the error values from
 Forney's formula, which gives the solution of the t x t value system
-without solving it; it never interpolates the whole word.  Both tails
+without solving it, in one array pass over all t roots; it never
+interpolates the whole word.  Both tails
 take the word array and its evaluations and return a codeword array.
 
 The decoders are the pairs of `_pipeline`: `decode` (rank scan,
@@ -641,8 +642,14 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray
     Omega = (sum_(r<t) s_r x^r) Lambda mod x^t (`_error_evaluator`; the
     recover tail's mu is -Omega reversed), the value at X = alpha^i is
     e_i = -Omega(X^-1) / Lambda'(X^-1), the solution of the t x t system
-    sum_j X_j^(r+1) e_j = s_r (r < t).  One multiplication is counted per
-    product formed; products by 1 (Lambda_0 and Lambda' 's factor 1) are not.
+    sum_j X_j^(r+1) e_j = s_r (r < t).  Forney's formula is one array pass
+    over all t roots: Omega and Lambda' stacked as a (2, t) array are
+    evaluated at every X^-1 = alpha^(n - i) by one exp2 gather and one
+    `Field.sum_arr`, the quotients are one log-domain gather (a zero
+    numerator reads exp2's zero tail), and one `Field.add_arr` writes them
+    into the word's copy.  One multiplication is counted per product
+    formed; products by 1 (the constant terms, Lambda_0 and Lambda' 's
+    factor 1) are not, nor, in characteristic 2, Lambda' 's factors j.
     """
     f = code.field
     t = locator.degree
@@ -651,39 +658,20 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray
         raise RootCountMismatch(
             f"locator of degree {t} has {len(roots)} distinct nonzero roots")
     n = f.q - 1
-    exp2, log = f._exp2, f.log
-    prime, p = f.kind == "prime", f.p
-    lam = locator.coeffs[::-1]  # Lambda_j = lambda_(t-j), Lambda_0 = 1
-    omega = _error_evaluator(f, locator, synd)
-    muls = 0
-    # Lambda' = sum_(j >= 1) j Lambda_j x^(j-1); in characteristic 2, j is 0 or 1.
-    deriv = [0] * t
-    for j in range(1, t + 1):
-        if prime and j > 1 and lam[j]:
-            muls += 1
-            deriv[j - 1] = lam[j] * j % p
-        elif prime or j % 2:
-            deriv[j - 1] = lam[j]
-
-    def at_inverse(poly: list[int], inv_log: int) -> int:
-        # poly(alpha^inv_log) with one lookup per nonzero term of degree >= 1
-        acc = poly[0]
-        for i, c in enumerate(poly):
-            if i and c:
-                v = exp2[log[c] + i * inv_log % n]
-                acc = (acc + v) % p if prime else acc ^ v
-        return acc
-
-    omega_muls = sum(1 for c in omega[1:] if c)
-    deriv_muls = sum(1 for c in deriv[1:] if c) + 1  # with the division
+    exp2, log = f._exp2_np, f._log_np
+    pos = log[np.fromiter(roots, np.int64, t)]
+    lam = np.array(locator.coeffs[::-1], dtype=np.int64)  # Lambda_j = lambda_(t-j), Lambda_0 = 1
+    # Lambda' = sum_(j >= 1) j Lambda_j x^(j-1), with j mod p: in characteristic
+    # 2 an even j has the sentinel log of 0, so its term reads exp2's zero tail.
+    deriv = exp2[log[lam[1:]] + log[np.arange(1, t + 1) % f.p]]
+    polys = np.array([_error_evaluator(f, locator, synd), deriv])
+    # Term i at X^-1 = alpha^(n - pos) is alpha^(log c_i + i (n - pos) mod n).
+    num, den = f.sum_arr(exp2[log[polys][:, None] + np.multiply.outer(n - pos, np.arange(t)) % n])
     cw = word.copy()
-    for pos in map(f.dlog, roots):
-        num = at_inverse(omega, n - pos)
-        muls += omega_muls
-        if num:
-            muls += deriv_muls
-            cw[pos] = f.add(cw[pos], exp2[log[num] - log[at_inverse(deriv, n - pos)] + n])
-    add_mul_ops(muls)
+    cw[pos] = f.add_arr(cw[pos], exp2[log[num] - log[den] + n])
+    nnz = np.count_nonzero
+    add_mul_ops(int(t * nnz(polys[0, 1:]) + nnz(num) * (nnz(deriv[1:]) + 1)
+                    + (nnz(lam[2:]) if f.kind == "prime" else 0)))
     return cw, None
 
 

@@ -16,7 +16,8 @@ Every field eagerly builds antilog/log tables for its multiplicative
 group (q <= 2^16, so the tables are always small), by doubling:
 exp[2^s : 2^(s+1)] is exp[:2^s] times alpha^(2^s), one numpy table-free
 product per step (a * b mod p, or shift-and-xor over m bits).  Beside the
-public antilog table `exp` (length q - 1) it keeps a private doubled copy,
+public antilog table `exp` (length q - 1) and discrete-log table `log`
+(length q, log 0 = -1) it keeps a private doubled copy of exp,
 exp2[i] = alpha^i for 0 <= i < 2(q - 1), so a product or quotient is one
 lookup at a sum of two logs, log a + log b or log a - log b + (q - 1),
 with no reduction mod q - 1.  The numpy copy of exp2 has a zero tail up
@@ -443,12 +444,6 @@ class Field:
         n = self.q - 1
         return self.exp[(self.log[a] * e) % n]
 
-    def dlog(self, a: int) -> int:
-        """Discrete log base alpha: the i in [0, q-2] with alpha^i == a."""
-        if a == 0:
-            raise ValueError(f"0 has no discrete logarithm in GF({self.q})")
-        return self.log[a]
-
     # ----- bulk numpy kernels ---------------------------------------------------
     #
     # All kernels take/return int64 arrays of canonical elements and account
@@ -462,7 +457,8 @@ class Field:
         tuples that `array.array("q")` packs (it takes what
         `operator.index` takes, within int64), are range-checked in one
         numpy pass; anything else goes through `check` one element at a
-        time.
+        time, an array of any shape element by element (`flat`) into an
+        array of its shape.
         """
         if isinstance(values, np.ndarray):
             a = values if values.dtype.kind in "iu" else None
@@ -475,6 +471,9 @@ class Field:
                 a = None
         if a is not None and (a.size == 0 or (a.min() >= 0 and a.max() < self.q)):
             return a.astype(np.int64, copy=False)
+        if isinstance(values, np.ndarray):  # of any shape, kept
+            return np.array([self.check(x) for x in values.flat],
+                            dtype=np.int64).reshape(values.shape)
         return np.array([self.check(x) for x in values], dtype=np.int64)
 
     def add_arr(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -519,6 +518,8 @@ class Field:
         if count is None:
             count = n
         c = np.asarray(coeffs, dtype=np.int64)
+        if c.ndim not in (1, 2):
+            raise ValueError(f"coefficients must be a 1-D or 2-D array, not {c.ndim}-D")
         if c.shape[-1] > n:
             raise ValueError(f"polynomial degree must be below {n}")
         rows = c if c.ndim == 2 else c[None]

@@ -592,25 +592,68 @@ def test_forney_values_solve_the_value_system(q, k, kw):
     # alpha^(i_j), Forney's values are the solution of the t x t system
     # sum_j alpha^((r+1) i_j) e_j = s_r (r < t).  So the positions tail
     # subtracts the same values as a linear solve would, past the radius too.
+    # Every third locator (t >= 2) gets the syndromes of an error that is 0
+    # at its first root: that root's numerator Omega(X^-1) is 0, so is its
+    # value, and a decode that takes this locator fails verify at distance
+    # t - 1.  Each call forms the Chien search's products, Omega's (one per
+    # nonzero Lambda_j s_(r-j), j >= 1), t nnz(Omega_1...) for the
+    # numerators, nnz(num) (nnz(Lambda'_1...) + 1) for the denominators
+    # and the divisions, and on a prime field one per nonzero Lambda_j,
+    # j >= 2, for Lambda' 's factors j.
     code = get_code(q, k, **kw)
     f = code.field
+    prime = f.kind == "prime"
+    n = code.n
     rng = random.Random(q + 7)
-    zero = np.zeros(code.n, dtype=np.int64)  # the tails take the validated word array
-    for _ in range(60):
+    zero = np.zeros(n, dtype=np.int64)  # the tails take the validated word array
+    zero_numerators = 0
+    for case in range(60):
         t = rng.randrange(1, code.tau + 1)
-        positions = sorted(rng.sample(range(code.n), t))
+        positions = sorted(rng.sample(range(n), t))
         locator = Poly.one(f)
         for i in positions:
             locator = locator * Poly(f, (f.neg(f.pow(f.alpha, i)), 1))
-        synd = tuple(rng.randrange(q) for _ in range(code.n - code.k))
+        err = None
+        if case % 3 or t < 2:
+            synd = tuple(rng.randrange(q) for _ in range(n - code.k))
+        else:
+            err = [0] * n
+            for i in positions[1:]:
+                err[i] = rng.randrange(1, q)
+            synd = code.syndromes(err)
         system = FeMat(f, [[f.pow(f.alpha, (r + 1) * i) for i in positions]
                            for r in range(t)])
         want = system.solve(list(synd[:t])).solution
-        cw, message = _error_positions_and_values(code, zero, synd, locator, DecodeTrace())
+        with gf.MulOpCounter() as chien:
+            locator.roots_nonzero()
+        with gf.MulOpCounter() as tail:
+            cw, message = _error_positions_and_values(code, zero, synd, locator, DecodeTrace())
         assert message is None
         got = tuple(f.neg(c) for c in cw.tolist())
         assert tuple(got[i] for i in positions) == want
         assert not any(c for j, c in enumerate(got) if j not in positions)
+
+        lam = locator.coeffs[::-1]  # Lambda_j = lambda_(t-j)
+        omega = ((Poly(f, synd[:t]) * Poly(f, lam)).coeffs + (0,) * t)[:t]
+        deriv = [j * lam[j] % f.p if prime else lam[j] * (j % 2) for j in range(1, t + 1)]
+        nums = [Poly(f, omega)(f.pow(f.alpha, -i % n)) for i in positions]
+        nnz = np.count_nonzero
+        assert type(tail.count) is int  # a numpy count would leak into every later total
+        assert tail.count == (chien.count
+                              + sum(1 for j in range(1, t) if lam[j]
+                                    for r in range(j, t) if synd[r - j])
+                              + t * nnz(omega[1:]) + nnz(nums) * (nnz(deriv[1:]) + 1)
+                              + (nnz(lam[2:]) if prime else 0))
+        if err is not None:
+            assert nums[0] == 0 and got[positions[0]] == 0
+            zero_numerators += 1
+            sent = code.encode([rng.randrange(q) for _ in range(code.k)])
+            word = [f.add(c, e) for c, e in zip(sent, err)]
+            with pytest.raises(VerifyFailed, match=(
+                    rf"^decoded codeword is at distance {t - 1}, expected exactly {t}$")):
+                _run(code, word, lambda code, synd, trace: (t, locator),
+                     _error_positions_and_values)
+    assert zero_numerators > 0
 
 
 def test_positions_codeword(rs72):

@@ -2,12 +2,14 @@
 
 import functools
 import random
+import re
 
 import numpy as np
 import pytest
 
 from rscodec import Field
 from rscodec import gf
+from rscodec.decode_interp import decode_blocks
 
 from .util import get_code, get_field, slow_gf2m_mul
 
@@ -105,13 +107,12 @@ def test_f7_inverses_against_exhaustive_search(f7):
     assert f7.inv(2) == 4
 
 
-def test_f7_dlog(f7):
-    assert f7.dlog(1) == 0
-    assert f7.dlog(5) == 1
-    assert f7.dlog(2) == 4
-    assert f7.dlog(3) == 5
-    with pytest.raises(ValueError):
-        f7.dlog(0)
+def test_f7_log_table(f7):
+    # log[a] is the i in [0, q-2] with alpha^i == a (alpha = 5); 0 has the
+    # sentinel -1
+    assert [f7.log[a] for a in (1, 5, 2, 3)] == [0, 1, 4, 5]
+    assert f7.log[0] == -1
+    assert all(f7.exp[f7.log[a]] == a for a in range(1, 7))
 
 
 def test_zero_division_contracts(f7):
@@ -507,6 +508,14 @@ def test_eval_at_powers_rejects_overlong_coefficients(f7):
         f7.eval_at_powers([1] * 7, first=0, count=6)
 
 
+def test_eval_at_powers_takes_one_or_two_dimensions(f7):
+    # A 1-D array is one polynomial and a 2-D array a row of polynomials;
+    # a 0-D or 3-D array is neither.
+    for coeffs in (np.int64(3), np.zeros((2, 2, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"1-D or 2-D array, not [03]-D"):
+            f7.eval_at_powers(coeffs)
+
+
 def test_asarray_validates_range(f7):
     with pytest.raises(ValueError):
         f7.asarray([0, 7])
@@ -522,6 +531,21 @@ def test_asarray_validates_range(f7):
     assert f7.asarray([True, 2, np.uint8(6)]).tolist() == [1, 2, 6]
     assert f7.asarray(np.array([6, 0], dtype=np.uint8)).tolist() == [6, 0]
     assert f7.asarray(iter([1, 2])).dtype == np.int64
+    # An array of two or more dimensions keeps its shape, and an error names
+    # its first bad element, not a row.
+    grid = np.array([[1, 2], [3, 4]], dtype=object)
+    assert f7.asarray(grid).tolist() == [[1, 2], [3, 4]]
+    assert f7.asarray(grid[None]).shape == (1, 2, 2)
+    for bad, name in ((np.array([[1, 2], [3, 7]], dtype=object), "7"),
+                      (np.array([[1, 9], [3, 7]], dtype=object), "9"),
+                      (np.array([[1, 2], [3, -1]]), r"(np\.int64\()?-1\)?"),
+                      (np.array([[1.0, 2.0]]), r"(np\.float64\()?1\.0\)?")):
+        with pytest.raises(ValueError, match=rf"^{name} is not an element of GF\(7\)$"):
+            f7.asarray(bad)
+    code = get_code(7, 2)
+    assert code.encode_blocks(np.array([[1, 2]], dtype=object)).tolist() == [list(code.encode([1, 2]))]
+    with pytest.raises(ValueError, match=r"^300 is not an element of GF\(7\)$"):
+        decode_blocks(code, np.full((2, 6), 300, dtype=object), "bm")
 
 
 class _Index:
@@ -568,6 +592,15 @@ def test_asarray_agrees_with_check(f7):
                     f7.asarray(seq)
             else:
                 assert f7.asarray(seq).tolist() == [f7.check(v) for v in seq]
+        # the same value at (1, 0) of a 2 x 2 object array
+        grid = np.full((2, 2), 4, dtype=object)
+        grid[1, 0] = value
+        if want is None:
+            with pytest.raises(ValueError,
+                               match=rf"^{re.escape(repr(value))} is not an element of GF\(7\)$"):
+                f7.asarray(grid)
+        else:
+            assert f7.asarray(grid).tolist() == [[4, 4], [want, 4]]
 
 
 # ----- multiplication counter ----------------------------------------------------

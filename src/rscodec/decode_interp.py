@@ -51,7 +51,9 @@ is the word's interpolation polynomial.
 lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg f_c < k, so mu is
 the coefficients of x^n and above, which only the top t coefficients of
 f_u reach: mu_(t-1-r) = -Omega_r for Forney's error evaluator Omega
-(`_error_evaluator`, which the positions tail shares).  Then f_c = f_u - Q
+(`_error_evaluator`, which the positions tail shares).  The tail counts
+Omega's products but forms mu, the trace's high_quotient, only when that
+is read, as Q needs only f_u's top t.  Then f_c = f_u - Q
 for the exact quotient Q = (x^n - 1) * mu / lambda, whose top t
 coefficients are f_u's and whose others follow lambda's t-term recurrence
 (Q is the interpolation polynomial of the t-sparse error): blocks of B
@@ -93,6 +95,7 @@ failed row keeps low(u) as its best-effort estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -114,6 +117,25 @@ from .poly import Poly
 from .rscode import RSCode
 
 
+class _FormedOnRead:
+    """A dataclass field that may be set to a `functools.partial`, which is
+    called on the field's first read and replaced by its result."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self.name]
+        if isinstance(value, functools.partial):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class DecodeTrace:
     """Work counters and intermediate values of one decode call.
@@ -122,13 +144,15 @@ class DecodeTrace:
     determinant scan's candidates h decided (not the eliminations it runs:
     one rank decides every candidate above it); a scan that did not run
     leaves its counter at 0, so Berlekamp-Massey leaves both at 0.
-    interp_degree and high_quotient are set by the recover tail only.
+    interp_degree and high_quotient are set by the recover tail only;
+    high_quotient is formed when first read, its products counted by the
+    decode.
     """
 
     rank_checks: int = 0
     det_checks: int = 0
     interp_degree: int | float | None = None
-    high_quotient: Poly | None = None
+    high_quotient: Poly | None = _FormedOnRead()  # default None
 
 
 @dataclass
@@ -244,7 +268,7 @@ def _decode_row(code: RSCode, word: np.ndarray, evals: np.ndarray, low: np.ndarr
         if t == 0:
             # Copies: the word may be the caller's array and low a row of the
             # messages `decode_blocks` returns, and `message` reads them later.
-            return DecodeOutcome(tuple(word.tolist()), (0,) * code.n, 0, locator, trace,
+            return DecodeOutcome(tuple(word.tolist()), code._no_errors, 0, locator, trace,
                                  code, None if low is None else low.copy(), word.copy())
         cw, message = tail(code, word, evals, locator, trace)
         return _verified_outcome(code, word, synd, cw, t, locator, trace, message, low)
@@ -325,17 +349,17 @@ def _rank_count(code: RSCode, s: np.ndarray) -> int | None:
 def _rank_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, Poly]:
     if not synd.any():
         trace.rank_checks = 1
-        return 0, Poly.one(code.field)
+        return 0, code._one
     t = _rank_count(code, synd)
     trace.rank_checks = code.tau + 1 if t is None else t + 1
     if t is None:
         raise TooManyErrors(f"no error count <= tau = {code.tau} fits the syndromes")
-    return t, solve_locator(code, synd, t) if t else Poly.one(code.field)
+    return t, solve_locator(code, synd, t)
 
 
 def _determinant_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, Poly]:
     if not synd.any():
-        return 0, Poly.one(code.field)
+        return 0, code._one
     # H_tau is symmetric.  Each h x h Hankel matrix with h > r = rank(H_tau)
     # is a leading submatrix of H_tau, so singular, and H_r is nonsingular
     # iff the pivots of H_tau sit in columns 0, ..., r - 1.  If they do,
@@ -387,7 +411,7 @@ def berlekamp_massey(code: RSCode, syndromes: Sequence[int]) -> tuple[int, Poly]
 def _massey(code: RSCode, s: list[int]) -> tuple[int, Poly]:
     f = code.field
     if not any(s):
-        return 0, Poly.one(f)
+        return 0, code._one
     n = f.q - 1
     exp2, log = f._exp2, f.log
     prime, p = f.kind == "prime", f.p
@@ -525,8 +549,15 @@ def _recovered_quotient(code: RSCode, evals: np.ndarray, locator: Poly,
     # passes.
     nonzero = np.flatnonzero(evals)
     trace.interp_degree = n - 1 - int(nonzero[0]) if nonzero.size else -math.inf
-    trace.high_quotient = Poly(f, [f.neg(x) for x in _error_evaluator(f, locator, synd)[::-1]])
+    add_mul_ops(_evaluator_products(locator, synd))
+    trace.high_quotient = functools.partial(_high_quotient, f, locator, synd[:t].tolist())
     return quot
+
+
+def _high_quotient(f: Field, locator: Poly, synd: list[int]) -> Poly:
+    """The recover tail's mu = -Omega reversed, from the first t syndromes;
+    its products are counted by the decode (`_evaluator_products`)."""
+    return Poly(f, [f.neg(x) for x in _error_evaluator(f, locator, synd)[::-1]])
 
 
 def _wrapped_quotient(f: Field, lam: Sequence[int], top: np.ndarray, n: int
@@ -607,30 +638,38 @@ def _block_rows(n: int, t: int) -> int:
     return max(1, min(n - t, math.isqrt(50 * (n - t) // (t + 4))))
 
 
-def _error_evaluator(f: Field, locator: Poly, synd: np.ndarray) -> list[int]:
+def _error_evaluator(f: Field, locator: Poly, synd: np.ndarray | Sequence[int]) -> list[int]:
     """Forney's error evaluator Omega = (sum_(r<t) s_r x^r) Lambda mod x^t
     of the degree-t locator, Lambda(x) = x^t lambda(1/x), as t ints.
-
-    One multiplication is counted per nonzero product Lambda_j s_(r-j)
-    with j >= 1; Lambda_0 = lambda_t = 1 needs none.
-    """
+    Counts nothing: its callers count `_evaluator_products`."""
     t = locator.degree
     exp2, log = f._exp2, f.log
     prime = f.kind == "prime"
     lam = locator.coeffs[::-1]  # Lambda_j = lambda_(t-j)
     omega = np.asarray(synd[:t]).tolist()
     s_logs = [log[x] for x in omega]  # log 0 is -1
-    muls = 0
     for j in range(1, t):
         if lam[j]:
             lj = log[lam[j]]
             for r in range(j, t):
                 sl = s_logs[r - j]
                 if sl >= 0:
-                    muls += 1
                     omega[r] = omega[r] + exp2[lj + sl] if prime else omega[r] ^ exp2[lj + sl]
-    add_mul_ops(muls)
     return [x % f.p for x in omega] if prime else omega
+
+
+def _evaluator_products(locator: Poly, synd: np.ndarray | Sequence[int]) -> int:
+    """The products `_error_evaluator` forms: one per nonzero product
+    Lambda_j s_(r-j) with 1 <= j <= r < t (Lambda_0 = lambda_t = 1 needs
+    none), so lambda_i != 0 (1 <= i < t) counts the nonzero syndromes
+    among s_0, ..., s_(i-1)."""
+    t = locator.degree
+    muls = nonzero = 0
+    for lam, s in zip(locator.coeffs[1:t], np.asarray(synd[:t - 1]).tolist()):
+        nonzero += s != 0
+        if lam:
+            muls += nonzero
+    return muls
 
 
 def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray,
@@ -671,7 +710,8 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray
     cw[pos] = f.add_arr(cw[pos], exp2[log[num] - log[den] + n])
     nnz = np.count_nonzero
     add_mul_ops(int(t * nnz(polys[0, 1:]) + nnz(num) * (nnz(deriv[1:]) + 1)
-                    + (nnz(lam[2:]) if f.kind == "prime" else 0)))
+                    + (nnz(lam[2:]) if f.kind == "prime" else 0))
+                + _evaluator_products(locator, synd))
     return cw, None
 
 

@@ -25,7 +25,9 @@ to index 4(q - 1), and the numpy log table maps 0 to the sentinel
 2(q - 1), so exp2[log x + log y] is x * y for all x and y, zeros
 included: `mul_arr`, the one elementwise product kernel, is a single
 gather on both field kinds with no zero mask (at most 2 MiB for
-q = 2^16).  Scalar operations are plain Python ints; bulk operations are
+q = 2^16).  The direct sum below gathers from a copy of it in the
+narrowest unsigned dtype that holds q - 1 (uint8 up to GF(256), uint16
+above).  Scalar operations are plain Python ints; bulk operations are
 exact numpy integer kernels used by the matrix and codec layers.  All
 arithmetic is exact, never floating point.
 
@@ -34,26 +36,30 @@ accepts what `operator.index` accepts (Python ints, bools included,
 numpy integer scalars and 0-d integer arrays, any class with
 `__index__`) in [0, q).  `asarray` packs a list or tuple with
 `array.array("q")`, which takes the same values within int64, and
-range-checks it in one numpy pass; it falls back to `check`, element by
-element, for anything else, so both accept the same values and name the
-first value they reject.
+range-checks it, as any integer array, with one reduction: the maximum
+of its int64 values viewed as uint64, where a negative value is above
+every q.  It falls back to `check`, element by element, for anything
+else, so both accept the same values and name the first value they
+reject.
 
 Polynomial evaluation, `eval_at_powers`, has two paths and one rule
 between them.  The direct sum forms every term of every point as one
 antilog lookup at ((first + r) j mod (q - 1)) + log c_j: count x
 (nonzero coefficients) products.  A field with 2n^2 <= `_EVAL_BLOCK`
 (n = q - 1 <= 362: GF(256), GF(257) and every field up to GF(359)) reads
-the exponents (i j) mod n off one read-only uint16 table of 2n rows,
+the exponents (i j) mod n off one read-only int64 table of 2n rows,
 built on first use, so a window of at most n points from alpha^first is
-a view of rows and a call is one add and one exp2 gather: a mostly
-nonzero row adds its whole log row (a zero's sentinel log reads exp2's
-zero tail), a sparse one only its nonzero columns.  Larger fields, and
-windows of more than n points, compute the exponents block by block,
-with a remainder mod n.  The transform is Good's prime-factor
-algorithm over the whole orbit: n = q - 1 splits into coprime
-prime-power factors n_i (255 = 3 * 5 * 17), each axis is a direct
-length-n_i transform by the `mul_arr` gather against an exponent table,
-with no twiddle factors: about n * sum(n_i) products.  It yields the
+a view of rows and a call is one add, with no cast, one gather from the
+narrow exp2 and one reduction, widened to int64 once: a mostly nonzero
+row adds its whole log row (a zero's sentinel log reads exp2's zero
+tail), a sparse one only its nonzero columns.  A one-dimensional call
+returns that row itself.  Larger fields, and windows of more than n
+points, compute the exponents block by block, with a remainder mod n.
+The transform is Good's prime-factor algorithm over the whole orbit:
+n = q - 1 splits into coprime prime-power factors n_i (255 = 3 * 5 *
+17), each axis is a direct length-n_i transform by the `mul_arr` gather
+against an exponent table, with no twiddle factors: about n * sum(n_i)
+products.  It yields the
 whole orbit alpha^0, ..., alpha^(n-1), so a window from alpha^first is
 read off it by an index shift, with no product.  An axis pass runs over
 all rows at once: n_i gathers of the whole (rows, n_i) array, one per
@@ -67,8 +73,8 @@ than `_TRANSFORM_COST` times that many; a field whose n is a prime power
 in blocks of at most `_EVAL_BLOCK` terms.  So an evaluation's scratch
 memory is a few arrays of rows x n, or of a bounded size, on every
 field, and the one per-field table that grows with q^2 stops at
-`_EVAL_BLOCK` entries (254 KiB for GF(256)).  A (B, L) array of
-coefficients is B polynomials evaluated in one call.
+`_EVAL_BLOCK` entries (about 1 MiB for GF(256) and 2 MiB at GF(359)).
+A (B, L) array of coefficients is B polynomials evaluated in one call.
 
 The module keeps a count of field multiplications per thread (including
 inversions and divisions, and the element products performed inside bulk
@@ -173,8 +179,9 @@ def mul_ops_total() -> int:
 
 
 def add_mul_ops(count: int) -> None:
-    """Add `count` to this thread's multiplication counter (used by kernels)."""
-    (_mul_ops.get(None) or _new_mul_ops())[0] += count
+    """Add `count` to this thread's multiplication counter (used by kernels),
+    as a Python int, so a numpy integer count leaves the total an int."""
+    (_mul_ops.get(None) or _new_mul_ops())[0] += operator.index(count)
 
 
 class MulOpCounter:
@@ -282,7 +289,7 @@ class Field:
 
     __slots__ = (
         "kind", "q", "p", "m", "reduction", "alpha",
-        "exp", "log", "_exp2", "_exp_np", "_exp2_np", "_log_np", "_plan", "_powers",
+        "exp", "log", "_exp2", "_exp2_np", "_exp2_narrow", "_log_np", "_plan", "_powers",
     )
 
     def __init__(self, q: int, *, reduction: int | None = None,
@@ -336,12 +343,14 @@ class Field:
         self.exp = exp.tolist()
         self.log = lg.tolist()
         self._exp2 = self.exp + self.exp
-        self._exp_np = exp.astype(np.uint16)  # every element is below 2^16
         # log 0 is the sentinel 2n and exp2 is zero from index 2n on, so
         # exp2[log x + log y] is x * y for every x and y, zeros included.
         self._exp2_np = np.zeros(4 * n + 1, dtype=np.int64)
         self._exp2_np[:n] = exp
         self._exp2_np[n:2 * n] = exp
+        # The same in the narrowest unsigned dtype that holds q - 1 (uint8
+        # up to GF(256)), for the direct sum's gathers.
+        self._exp2_narrow = self._exp2_np.astype(np.min_scalar_type(n))
         lg[0] = 2 * n
         self._log_np = lg
         self._plan = None
@@ -469,8 +478,11 @@ class Field:
                 a = np.frombuffer(array.array("q", values), np.int64)
             except (TypeError, OverflowError):
                 a = None
-        if a is not None and (a.size == 0 or (a.min() >= 0 and a.max() < self.q)):
-            return a.astype(np.int64, copy=False)
+        if a is not None:
+            a = a.astype(np.int64, copy=False)
+            # One reduction: a negative value viewed as uint64 is above q.
+            if a.size == 0 or a.view(np.uint64).max() < self.q:
+                return a
         if isinstance(values, np.ndarray):  # of any shape, kept
             return np.array([self.check(x) for x in values.flat],
                             dtype=np.int64).reshape(values.shape)
@@ -522,19 +534,21 @@ class Field:
             raise ValueError(f"coefficients must be a 1-D or 2-D array, not {c.ndim}-D")
         if c.shape[-1] > n:
             raise ValueError(f"polynomial degree must be below {n}")
-        rows = c if c.ndim == 2 else c[None]
         plan = self._transform_plan()
+        rows = len(c) if c.ndim == 2 else 1
         # The direct sum forms count x (nonzero coefficients) products, the
-        # transform about plan.cost a row; rows.size bounds the nonzero
+        # transform about plan.cost a row; c.size bounds the nonzero
         # coefficients, so most short calls skip counting them.
-        bound = _TRANSFORM_COST * len(rows) * plan.cost if plan else math.inf
-        if count * rows.size > bound and count * np.count_nonzero(rows) > bound:
-            out = self._eval_transform(plan, rows, first, count)
-        else:
-            out = np.zeros((len(rows), count), dtype=np.int64)
-            for i in range(len(rows)):
-                self._eval_direct(rows[i], first, out[i])
-        return out if c.ndim == 2 else out[0]
+        bound = _TRANSFORM_COST * rows * plan.cost if plan else math.inf
+        if count * c.size > bound and count * np.count_nonzero(c) > bound:
+            out = self._eval_transform(plan, c if c.ndim == 2 else c[None], first, count)
+            return out if c.ndim == 2 else out[0]
+        if c.ndim == 1:
+            return self._eval_direct(c, first, count)
+        out = np.empty((rows, count), dtype=np.int64)
+        for i in range(rows):
+            out[i] = self._eval_direct(c[i], first, count)
+        return out
 
     def eval_products(self, count: int, nonzero: int) -> int:
         """Most products `eval_at_powers` forms for `count` points of one
@@ -544,14 +558,14 @@ class Field:
         direct = count * nonzero
         return plan.cost if plan and direct > _TRANSFORM_COST * plan.cost else direct
 
-    def _eval_direct(self, c: np.ndarray, first: int, out: np.ndarray) -> None:
-        # The direct sum into the zeros of `out`: one term per (point,
-        # nonzero coefficient) pair.
+    def _eval_direct(self, c: np.ndarray, first: int, count: int) -> np.ndarray:
+        # The direct sum, one term per (point, nonzero coefficient) pair,
+        # each gathered from the narrow exp2 and the reduced row widened
+        # once, to int64.
         n = self.q - 1
-        count = len(out)
         nnz = int(np.count_nonzero(c))
         if nnz == 0:
-            return
+            return np.zeros(count, dtype=np.int64)
         add_mul_ops(count * nnz)
         table = self._power_table() if count <= n else None
         if table is not None:
@@ -566,8 +580,7 @@ class Field:
             else:
                 nz = np.flatnonzero(c)
                 e = window[:, nz] + self._log_np[c[nz]]
-            out[:] = self.sum_arr(self._exp2_np[e])
-            return
+            return self.sum_arr(self._exp2_narrow[e])
         nz = np.flatnonzero(c)
         # Term j at point alpha^(first + r) is alpha^(((first + r) j + log c_j)
         # mod n).  With (first + r) mod n, j and log c_j all below n <= 2^16 - 1,
@@ -576,21 +589,24 @@ class Field:
         logs = self._log_np[c[nz]].astype(np.uint32)
         rows = ((first + np.arange(count, dtype=np.int64)) % n).astype(np.uint32)
         step = max(1, _EVAL_BLOCK // nz.size)
+        out = np.empty(count, dtype=np.int64)
         for lo in range(0, count, step):
             e = np.multiply.outer(rows[lo:lo + step], j)
             e += logs
             np.remainder(e, n, out=e)
-            out[lo:lo + step] = self.sum_arr(np.take(self._exp_np, e))
+            out[lo:lo + step] = self.sum_arr(np.take(self._exp2_narrow, e))
+        return out
 
     def _power_table(self) -> np.ndarray | None:
-        # The read-only uint16 table (i j) mod n for i < 2n and j < n, so
-        # any window of at most n points is a view of its rows; built on
-        # first use, and only while it has at most _EVAL_BLOCK entries.
+        # The read-only int64 table (i j) mod n for i < 2n and j < n, so any
+        # window of at most n points is a view of its rows and adds a row of
+        # int64 logs with no cast; built on first use, and only while it has
+        # at most _EVAL_BLOCK entries (1 MiB for GF(256), 2 MiB at GF(359)).
         if self._powers is None:
             n = self.q - 1
             table = False
             if 2 * n * n <= _EVAL_BLOCK:
-                table = (np.multiply.outer(np.arange(2 * n), np.arange(n)) % n).astype(np.uint16)
+                table = np.multiply.outer(np.arange(2 * n, dtype=np.int64), np.arange(n)) % n
                 table.flags.writeable = False
             self._powers = table
         return None if self._powers is False else self._powers

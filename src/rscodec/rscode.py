@@ -35,7 +35,7 @@ from .poly import Poly
 class RSCode:
     """Parameters of RS(q, alpha, k) plus cached structure matrices."""
 
-    __slots__ = ("field", "k", "n", "d", "tau", "_gen", "_par", "_sizes")
+    __slots__ = ("field", "k", "n", "d", "tau", "_gen", "_par", "_sizes", "_one", "_no_errors")
 
     def __init__(self, field: Field, k: int):
         n = field.q - 1
@@ -50,6 +50,9 @@ class RSCode:
         self._par = None
         self._sizes = {"word": (n, "n"), "message": (k, "k"),
                        "syndrome vector": (n - k, "n - k")}
+        # A codeword's locator and error, shared by every t = 0 outcome.
+        self._one = Poly.one(field)
+        self._no_errors = (0,) * n
 
     # ----- validation -----------------------------------------------------------
     # One validator for every input kind, returning the int64 array (one numpy

@@ -6,9 +6,10 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from rscodec import DECODERS, DecodeFailure, Field, Poly, RSCode
+from rscodec import DECODERS, DecodeFailure, Field, Poly, RSCode, gf
 from rscodec.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -201,6 +202,20 @@ def test_decode_stats(tmp_path):
         assert rec["t"] == 1
         assert rec["rank_checks"] == rec["det_checks"] == 0
         assert rec["mul_count"] > 0
+
+
+def test_stats_serialise_after_a_numpy_count(tmp_path):
+    # A kernel may pass its count as a numpy integer (`np.count_nonzero`
+    # returns np.int64); the thread's count stays a Python int, so the
+    # per-block counts of a --stats line, differences of it, serialise.
+    gf.add_mul_ops(np.int64(3))
+    assert type(gf.mul_ops_total()) is int
+    payload, stream, stats, out = (tmp_path / name for name in ("p", "s", "stats.jsonl", "o"))
+    payload.write_text("1 1 0 2")
+    run("encode", "--q", 7, "--k", 2, "--alpha", 5, payload, stream)
+    assert run("decode", "--decoder", "interp", "--stats", stats, stream, out) == EXIT_OK
+    recs = [json.loads(line) for line in stats.read_text().splitlines()]
+    assert [type(r["mul_count"]) for r in recs] == [int, int]
 
 
 def test_decode_chunks_match_block_decodes(tmp_path):

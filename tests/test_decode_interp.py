@@ -30,6 +30,7 @@ from rscodec.decode_interp import (
     _bm_scan,
     _error_evaluator,
     _error_positions_and_values,
+    _evaluator_products,
     _rank_scan,
     _run,
     _wrapped_quotient,
@@ -426,9 +427,10 @@ def test_wrapped_quotient_matches_long_division(q, kw):
 def test_error_evaluator_is_the_truncated_product(q, kw):
     # Forney's Omega, which both tails take (the recover tail as mu
     # reversed), is the low t coefficients of (sum_(r<t) s_r x^r) Lambda,
-    # Lambda_j = lambda_(t-j), and counts one product per nonzero
-    # Lambda_j s_(r-j) with j >= 1.  Locators with zero coefficients and
-    # syndromes with zeros exercise the skipped products.
+    # Lambda_j = lambda_(t-j).  Its callers count one product per nonzero
+    # Lambda_j s_(r-j) with j >= 1 (`_evaluator_products`); forming it
+    # counts nothing.  Locators with zero coefficients and syndromes with
+    # zeros exercise the skipped products.
     f = get_field(q, **kw)
     rng = random.Random(q + 1)
     for _ in range(60):
@@ -441,8 +443,9 @@ def test_error_evaluator_is_the_truncated_product(q, kw):
             omega = _error_evaluator(f, Poly(f, lam), synd)
         product = (Poly(f, synd[:t].tolist()) * Poly(f, big_lam)).coeffs[:t]
         assert omega == list(product) + [0] * (t - len(product))
-        assert ctr.count == sum(1 for j in range(1, t) for r in range(j, t)
-                                if big_lam[j] and synd[r - j])
+        assert ctr.count == 0
+        assert _evaluator_products(Poly(f, lam), synd) == sum(
+            1 for j in range(1, t) for r in range(j, t) if big_lam[j] and synd[r - j])
 
 
 def test_recover_codeword_polynomial_evaluates_the_word_once(monkeypatch):
@@ -495,6 +498,24 @@ def test_decode_double_error_fixture(rs72):
     assert out.locator == Poly(rs72.field, (6, 2, 1))
     assert out.trace.rank_checks == 3
     assert out.trace.high_quotient == Poly(rs72.field, (6,))
+
+
+def test_high_quotient_is_formed_when_read(rs72, monkeypatch):
+    # The recover tail counts Omega's products in the decode but forms mu
+    # only when the trace's high_quotient is first read; the read counts
+    # nothing, and a second read, or a trace compared equal, forms it no more.
+    from rscodec import decode_interp
+
+    calls = []
+    evaluator = decode_interp._error_evaluator
+    monkeypatch.setattr(decode_interp, "_error_evaluator",
+                        lambda *args: calls.append(args) or evaluator(*args))
+    out = decode(rs72, W)
+    assert calls == []
+    with gf.MulOpCounter() as reading:
+        assert out.trace.high_quotient == Poly(rs72.field, (6,))
+        assert out.trace == DecodeTrace(3, 0, 4, Poly(rs72.field, (6,)))
+    assert len(calls) == 1 and reading.count == 0
 
 
 def test_decode_codeword_fixture(rs72, monkeypatch):

@@ -283,7 +283,7 @@ def test_array_kernels_match_scalar_ops(q):
     assert f.sum_arr(x[:0]) == 0
 
 
-HORNER_FIELDS = [(7, {}), (13, {}), (256, {}), (16, GF16_0X19), (257, {})]
+HORNER_FIELDS = [(7, {}), (13, {}), (256, {}), (16, GF16_0X19), (257, {}), (359, {})]
 
 
 @pytest.mark.parametrize("q, kw", HORNER_FIELDS, ids=[str(q) for q, _ in HORNER_FIELDS])
@@ -347,9 +347,10 @@ def test_eval_at_powers_large_field_fallback_path():
 
 @pytest.mark.parametrize("q", [359, 367, 4096, 65536])
 def test_power_table_is_cached_below_the_size_bound(q):
-    # The direct sum reads (i j) mod n off one table of 2n x n entries,
-    # built on a field's first evaluation only while 2n^2 <= _EVAL_BLOCK:
-    # GF(359) builds it, GF(367) and the larger fields never do.
+    # The direct sum reads (i j) mod n off one read-only int64 table of
+    # 2n x n entries, built on a field's first evaluation only while
+    # 2n^2 <= _EVAL_BLOCK: GF(359) builds it, GF(367) and the larger fields
+    # never do.
     from rscodec import Poly
     f = Field(q)  # not the shared one: the table must start unbuilt
     n = q - 1
@@ -360,7 +361,7 @@ def test_power_table_is_cached_below_the_size_bound(q):
     assert (table is not None) == (q == 359) == (2 * n * n <= gf._EVAL_BLOCK)
     if table is None:
         return
-    assert table.shape == (2 * n, n) and table.dtype == np.uint16
+    assert table.shape == (2 * n, n) and table.dtype == np.int64
     assert np.array_equal(table, np.multiply.outer(np.arange(2 * n), np.arange(n)) % n)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
@@ -385,11 +386,6 @@ def test_transform_matches_direct_sum(q, kw):
     # both paths are compared on a slice of the points.
     full = min(n, 100)
 
-    def direct(row, first, count):
-        out = np.zeros(count, dtype=np.int64)
-        f._eval_direct(row, first, out)
-        return out
-
     for width, first, count in ((n, 0, full), (n, n + 3, full), (n // 2, 1, 3), (7, n - 1, full),
                                 (1, 3 * n + 2, full), (n, n, full), (n, 5, 0)):
         rows = rng.integers(0, q, size=(3, width))
@@ -398,7 +394,7 @@ def test_transform_matches_direct_sum(q, kw):
         got = f._eval_transform(plan, rows, first, count)
         assert got.shape == (3, count)
         for row, values in zip(rows, got):
-            assert values.tolist() == direct(row, first, count).tolist()
+            assert values.tolist() == f._eval_direct(row, first, count).tolist()
     # A batch evaluates its rows independently, whichever path it takes.
     rows = rng.integers(0, q, size=(4, n))
     rows[2] = 0
@@ -426,9 +422,7 @@ def test_transform_axis_passes_on_batches(q, kw):
         taken.add(rows * n <= gf._GATHER_OUTPUTS)
         got = f._eval_transform(plan, c, first, n)
         for row, values in zip(c, got):
-            want = np.zeros(n, dtype=np.int64)
-            f._eval_direct(row, first, want)
-            assert values.tolist() == want.tolist()
+            assert values.tolist() == f._eval_direct(row, first, n).tolist()
     assert taken == {True, False}
 
 
@@ -530,6 +524,13 @@ def test_asarray_validates_range(f7):
     assert f7.asarray(np.array([], dtype=float)).size == 0
     assert f7.asarray([True, 2, np.uint8(6)]).tolist() == [1, 2, 6]
     assert f7.asarray(np.array([6, 0], dtype=np.uint8)).tolist() == [6, 0]
+    # one reduction over the values viewed as uint64 rejects every negative
+    # or wrapped value, of any integer dtype, and takes strided views
+    for bad in (np.array([3, -1], dtype=np.int8), np.array([-2 ** 63, 1]),
+                np.array([2 ** 63 + 1], dtype=np.uint64), np.array([2 ** 64 - 1], dtype=np.uint64)):
+        with pytest.raises(ValueError):
+            f7.asarray(bad)
+    assert f7.asarray(np.arange(20)[::3] % 7).tolist() == [0, 3, 6, 2, 5, 1, 4]
     assert f7.asarray(iter([1, 2])).dtype == np.int64
     # An array of two or more dimensions keeps its shape, and an error names
     # its first bad element, not a row.

@@ -74,6 +74,28 @@ def test_two_threads_share_a_fresh_field():
     assert got["a"] == want and got["b"] == want
 
 
+def test_two_threads_race_the_first_direct_sum():
+    # Both threads make the first evaluations of a fresh field at once, so
+    # both may build its power table; each must get the direct sums one
+    # thread alone gets, dense and sparse rows, and count exactly its own
+    # count x (nonzero coefficients) products.
+    rng = random.Random(3)
+    for q in (256, 359):
+        rows = [[rng.randrange(q) if i % 4 or j % 16 == 0 else 0 for j in range(q - 1)]
+                for i in range(20)]
+
+        def work(f):
+            with MulOpCounter() as ops:
+                values = [f.eval_at_powers(row, first=1, count=32).tolist() for row in rows]
+            return values, ops.count
+
+        want = work(Field(q))
+        assert want[1] == 32 * sum(1 for row in rows for c in row if c)
+        field = Field(q)
+        assert field._powers is None
+        assert _in_two_threads(lambda: work(field)) == {"a": want, "b": want}
+
+
 def test_two_threads_count_only_their_own_products():
     # 50 `bm` decodes at t = 8 inside one MulOpCounter per thread.  With one
     # module-wide count, each of two threads read 0.9 to 1.1 million products

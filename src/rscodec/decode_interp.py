@@ -51,9 +51,9 @@ is the word's interpolation polynomial.
 lambda * f_u = lambda * f_c + (x^n - 1) * mu with deg f_c < k, so mu is
 the coefficients of x^n and above, which only the top t coefficients of
 f_u reach: mu_(t-1-r) = -Omega_r for Forney's error evaluator Omega
-(`_error_evaluator`, which the positions tail shares).  The tail counts
-Omega's products but forms mu, the trace's high_quotient, only when that
-is read, as Q needs only f_u's top t.  Then f_c = f_u - Q
+(`_error_evaluator`, which the positions tail shares).  The tail forms
+mu, the trace's high_quotient, and counts its products only when that is
+read, as Q needs only f_u's top t.  Then f_c = f_u - Q
 for the exact quotient Q = (x^n - 1) * mu / lambda, whose top t
 coefficients are f_u's and whose others follow lambda's t-term recurrence
 (Q is the interpolation polynomial of the t-sparse error): blocks of B
@@ -66,12 +66,13 @@ evaluation of Q on the orbit.  Where that would form more products than
 the word's other k evaluations, which give low(u), and the encoding of
 the message low(u) - low(Q) together (a low-rate code), the tail takes
 those instead, and the codeword is that encoding.  Positions
-(`_error_positions_and_values`) reads the error positions off the
-locator's roots (a Chien search) and takes the error values from
+(`_error_positions_and_values`) takes the error positions i where
+lambda(alpha^i) = 0 straight off a Chien search and the error values from
 Forney's formula, which gives the solution of the t x t value system
 without solving it, in one array pass over all t roots; it never
-interpolates the whole word.  Both tails
-take the word array and its evaluations and return a codeword array.
+interpolates the whole word.  Both tails take the word array and its
+evaluations and return a codeword array, which leaves an error of weight
+at most t: verify checks membership on the error word's syndromes.
 
 The decoders are the pairs of `_pipeline`: `decode` (rank scan,
 recover), `decode_via_positions` (rank scan, positions), `pgz_decode`
@@ -145,8 +146,7 @@ class DecodeTrace:
     one rank decides every candidate above it); a scan that did not run
     leaves its counter at 0, so Berlekamp-Massey leaves both at 0.
     interp_degree and high_quotient are set by the recover tail only;
-    high_quotient is formed when first read, its products counted by the
-    decode.
+    high_quotient is formed, and its products counted, on its first read.
     """
 
     rank_checks: int = 0
@@ -162,8 +162,7 @@ class DecodeOutcome:
     `message` is the k message symbols of `codeword`, the coefficients of
     its polynomial of degree < k.  `decode_blocks` holds it already, as
     does the recover tail where it took the word's low part; otherwise it
-    is computed on first access, from k evaluations of the decoder's
-    codeword array.
+    is computed on first access, from k evaluations of `codeword`.
     """
 
     codeword: tuple[int, ...]
@@ -173,14 +172,13 @@ class DecodeOutcome:
     trace: DecodeTrace
     _code: RSCode | None = field(default=None, repr=False, compare=False)
     _message: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _codeword: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def message(self) -> tuple[int, ...]:
         if self._message is None:
             code = self._code
             self._message = code.low_from_evaluations(code.field.eval_at_powers(
-                self._codeword, first=code.n - code.k + 1, count=code.k))
+                self.codeword, first=code.n - code.k + 1, count=code.k))
         return tuple(self._message.tolist())
 
 
@@ -266,10 +264,10 @@ def _decode_row(code: RSCode, word: np.ndarray, evals: np.ndarray, low: np.ndarr
     try:
         t, locator = count_stage(code, synd, trace)
         if t == 0:
-            # Copies: the word may be the caller's array and low a row of the
-            # messages `decode_blocks` returns, and `message` reads them later.
+            # A copy: low is a row of the messages `decode_blocks` returns,
+            # and `message` reads it later.
             return DecodeOutcome(tuple(word.tolist()), code._no_errors, 0, locator, trace,
-                                 code, None if low is None else low.copy(), word.copy())
+                                 code, None if low is None else low.copy())
         cw, message = tail(code, word, evals, locator, trace)
         return _verified_outcome(code, word, synd, cw, t, locator, trace, message, low)
     except DecodeFailure as exc:
@@ -549,14 +547,14 @@ def _recovered_quotient(code: RSCode, evals: np.ndarray, locator: Poly,
     # passes.
     nonzero = np.flatnonzero(evals)
     trace.interp_degree = n - 1 - int(nonzero[0]) if nonzero.size else -math.inf
-    add_mul_ops(_evaluator_products(locator, synd))
     trace.high_quotient = functools.partial(_high_quotient, f, locator, synd[:t].tolist())
     return quot
 
 
 def _high_quotient(f: Field, locator: Poly, synd: list[int]) -> Poly:
     """The recover tail's mu = -Omega reversed, from the first t syndromes;
-    its products are counted by the decode (`_evaluator_products`)."""
+    `_error_evaluator` counts its products when the trace's first read
+    forms it."""
     return Poly(f, [f.neg(x) for x in _error_evaluator(f, locator, synd)[::-1]])
 
 
@@ -641,41 +639,31 @@ def _block_rows(n: int, t: int) -> int:
 def _error_evaluator(f: Field, locator: Poly, synd: np.ndarray | Sequence[int]) -> list[int]:
     """Forney's error evaluator Omega = (sum_(r<t) s_r x^r) Lambda mod x^t
     of the degree-t locator, Lambda(x) = x^t lambda(1/x), as t ints.
-    Counts nothing: its callers count `_evaluator_products`."""
+    Counts one product per nonzero Lambda_j s_(r-j) with 1 <= j <= r < t
+    (Lambda_0 = lambda_t = 1 needs none)."""
     t = locator.degree
     exp2, log = f._exp2, f.log
     prime = f.kind == "prime"
     lam = locator.coeffs[::-1]  # Lambda_j = lambda_(t-j)
     omega = np.asarray(synd[:t]).tolist()
     s_logs = [log[x] for x in omega]  # log 0 is -1
+    muls = 0
     for j in range(1, t):
         if lam[j]:
             lj = log[lam[j]]
             for r in range(j, t):
                 sl = s_logs[r - j]
                 if sl >= 0:
+                    muls += 1
                     omega[r] = omega[r] + exp2[lj + sl] if prime else omega[r] ^ exp2[lj + sl]
+    add_mul_ops(muls)
     return [x % f.p for x in omega] if prime else omega
-
-
-def _evaluator_products(locator: Poly, synd: np.ndarray | Sequence[int]) -> int:
-    """The products `_error_evaluator` forms: one per nonzero product
-    Lambda_j s_(r-j) with 1 <= j <= r < t (Lambda_0 = lambda_t = 1 needs
-    none), so lambda_i != 0 (1 <= i < t) counts the nonzero syndromes
-    among s_0, ..., s_(i-1)."""
-    t = locator.degree
-    muls = nonzero = 0
-    for lam, s in zip(locator.coeffs[1:t], np.asarray(synd[:t - 1]).tolist()):
-        nonzero += s != 0
-        if lam:
-            muls += nonzero
-    return muls
 
 
 def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray,
                                 locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, None]:
-    """Error positions (locator roots' discrete logs) and Forney's values,
-    subtracted from the word.
+    """Error positions (the i with lambda(alpha^i) = 0, a Chien search)
+    and Forney's values, subtracted from the word.
 
     With Lambda(x) = x^t lambda(1/x) = prod_j (1 - X_j x) and
     Omega = (sum_(r<t) s_r x^r) Lambda mod x^t (`_error_evaluator`; the
@@ -692,13 +680,12 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray
     """
     f = code.field
     t = locator.degree
-    roots = locator.roots_nonzero()
-    if len(roots) != t:
-        raise RootCountMismatch(
-            f"locator of degree {t} has {len(roots)} distinct nonzero roots")
     n = f.q - 1
+    pos = np.flatnonzero(f.eval_at_powers(locator.coeffs, first=0, count=n) == 0)
+    if len(pos) != t:
+        raise RootCountMismatch(
+            f"locator of degree {t} has {len(pos)} distinct nonzero roots")
     exp2, log = f._exp2_np, f._log_np
-    pos = log[np.fromiter(roots, np.int64, t)]
     lam = np.array(locator.coeffs[::-1], dtype=np.int64)  # Lambda_j = lambda_(t-j), Lambda_0 = 1
     # Lambda' = sum_(j >= 1) j Lambda_j x^(j-1), with j mod p: in characteristic
     # 2 an even j has the sentinel log of 0, so its term reads exp2's zero tail.
@@ -710,8 +697,7 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray
     cw[pos] = f.add_arr(cw[pos], exp2[log[num] - log[den] + n])
     nnz = np.count_nonzero
     add_mul_ops(int(t * nnz(polys[0, 1:]) + nnz(num) * (nnz(deriv[1:]) + 1)
-                    + (nnz(lam[2:]) if f.kind == "prime" else 0))
-                + _evaluator_products(locator, synd))
+                    + (nnz(lam[2:]) if f.kind == "prime" else 0)))
     return cw, None
 
 
@@ -722,14 +708,10 @@ def _verified_outcome(code: RSCode, word: np.ndarray, synd: np.ndarray,
     err = f.sub_arr(word, cw)
     weight = int(np.count_nonzero(err))
     # Syndromes are linear, so cw is a codeword iff the error word - cw has
-    # the word's syndromes.  The sparser of err and cw is evaluated: (n - k) t
-    # products for a decoded word, none for the zero codeword, not (n - k) n.
+    # the word's syndromes: (n - k) t products on an error of weight t, not
+    # the (n - k) n of cw's own syndromes.
     r = code.n - code.k
-    if weight <= np.count_nonzero(cw):
-        is_codeword = np.array_equal(f.eval_at_powers(err, first=1, count=r), synd)
-    else:
-        is_codeword = not f.eval_at_powers(cw, first=1, count=r).any()
-    if not is_codeword:
+    if not np.array_equal(f.eval_at_powers(err, first=1, count=r), synd):
         raise VerifyFailed("decoded word is not a codeword")
     if weight != t:
         raise VerifyFailed(
@@ -739,7 +721,7 @@ def _verified_outcome(code: RSCode, word: np.ndarray, synd: np.ndarray,
         low_err = code.low_from_evaluations(f.eval_at_powers(err, first=r + 1, count=code.k))
         message = f.sub_arr(low, low_err)
     return DecodeOutcome(tuple(cw.tolist()), tuple(err.tolist()), t, locator, trace,
-                         code, message, cw)
+                         code, message)
 
 
 def _pipeline(name: str) -> tuple:

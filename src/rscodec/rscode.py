@@ -86,7 +86,8 @@ class RSCode:
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Evaluate the message polynomial at alpha^0, ..., alpha^(n-1)."""
-        return tuple(self.encode_blocks(self._checked(message, "message")[None])[0].tolist())
+        msg = self._checked(message, "message")
+        return tuple(self.field.eval_at_powers(msg, first=0, count=self.n).tolist())
 
     def encode_blocks(self, messages: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         """Encode B messages, the rows of a (B, k) array, into a (B, n) array."""

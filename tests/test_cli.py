@@ -333,6 +333,31 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()  # drain error prints
 
 
+def test_bad_t_values_is_a_usage_error(capsys):
+    assert main(["compare", "--q", "7", "--k", "2", "--seed", "0",
+                 "--t-values", "1,x"]) == EXIT_USAGE
+    assert "bad --t-values" in capsys.readouterr().err
+
+
+def test_unwritable_outputs_are_data_errors(tmp_path, capsys):
+    # An output path that is a directory cannot be written; a decode whose
+    # --stats cannot be written stops before it writes its payload.
+    payload = tmp_path / "p"
+    payload.write_text("1 1 0 2")
+    stream = tmp_path / "s"
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run("encode", "--q", 7, "--k", 2, "--alpha", 5, payload, folder) == EXIT_DATA
+    assert "cannot write" in capsys.readouterr().err
+    assert run("encode", "--q", 7, "--k", 2, "--alpha", 5, payload, stream) == EXIT_OK
+    assert run("decode", stream, folder) == EXIT_DATA
+    assert "cannot write" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert run("decode", "--stats", folder, stream, out) == EXIT_DATA
+    assert "cannot write" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_primitive_alpha_names_the_reduction(tmp_path, capsys):
     # The CLI builds GF(2^m) on its default reduction polynomial, 0x13 for
     # GF(16), under which 6 is not primitive (it is under 0x19).

@@ -30,7 +30,6 @@ from rscodec.decode_interp import (
     _bm_scan,
     _error_evaluator,
     _error_positions_and_values,
-    _evaluator_products,
     _rank_scan,
     _run,
     _wrapped_quotient,
@@ -427,10 +426,9 @@ def test_wrapped_quotient_matches_long_division(q, kw):
 def test_error_evaluator_is_the_truncated_product(q, kw):
     # Forney's Omega, which both tails take (the recover tail as mu
     # reversed), is the low t coefficients of (sum_(r<t) s_r x^r) Lambda,
-    # Lambda_j = lambda_(t-j).  Its callers count one product per nonzero
-    # Lambda_j s_(r-j) with j >= 1 (`_evaluator_products`); forming it
-    # counts nothing.  Locators with zero coefficients and syndromes with
-    # zeros exercise the skipped products.
+    # Lambda_j = lambda_(t-j).  Forming it counts exactly one product per
+    # nonzero Lambda_j s_(r-j) with 1 <= j <= r < t.  Locators with zero
+    # coefficients and syndromes with zeros exercise the skipped products.
     f = get_field(q, **kw)
     rng = random.Random(q + 1)
     for _ in range(60):
@@ -443,8 +441,7 @@ def test_error_evaluator_is_the_truncated_product(q, kw):
             omega = _error_evaluator(f, Poly(f, lam), synd)
         product = (Poly(f, synd[:t].tolist()) * Poly(f, big_lam)).coeffs[:t]
         assert omega == list(product) + [0] * (t - len(product))
-        assert ctr.count == 0
-        assert _evaluator_products(Poly(f, lam), synd) == sum(
+        assert ctr.count == sum(
             1 for j in range(1, t) for r in range(j, t) if big_lam[j] and synd[r - j])
 
 
@@ -501,9 +498,9 @@ def test_decode_double_error_fixture(rs72):
 
 
 def test_high_quotient_is_formed_when_read(rs72, monkeypatch):
-    # The recover tail counts Omega's products in the decode but forms mu
-    # only when the trace's high_quotient is first read; the read counts
-    # nothing, and a second read, or a trace compared equal, forms it no more.
+    # The recover tail forms mu, and counts its products, only when the
+    # trace's high_quotient is first read; a second read, or a trace
+    # compared equal, forms it no more.  W's mu has no products.
     from rscodec import decode_interp
 
     calls = []
@@ -516,6 +513,22 @@ def test_high_quotient_is_formed_when_read(rs72, monkeypatch):
         assert out.trace.high_quotient == Poly(rs72.field, (6,))
         assert out.trace == DecodeTrace(3, 0, 4, Poly(rs72.field, (6,)))
     assert len(calls) == 1 and reading.count == 0
+    # On RS(255,223) at t = 16, mu has 120 products, one per nonzero
+    # Lambda_j s_(r-j): the decode no longer counts them (22 805 when it
+    # did), the first read counts exactly them, a second read none.
+    rng = random.Random(255)
+    code = get_code(256, 223)
+    word = corrupt(rng, code, code.encode([rng.randrange(256) for _ in range(223)]), 16)
+    with gf.MulOpCounter() as decoding:
+        out = decode(code, word)
+    with gf.MulOpCounter() as reading:
+        out.trace.high_quotient
+    with gf.MulOpCounter() as again:
+        out.trace.high_quotient
+    lam, synd = out.locator.coeffs[::-1], code.syndromes(word)
+    assert reading.count == 120 == sum(
+        1 for j in range(1, 16) for r in range(j, 16) if lam[j] and synd[r - j])
+    assert decoding.count == 22_805 - 120 and again.count == 0
 
 
 def test_decode_codeword_fixture(rs72, monkeypatch):

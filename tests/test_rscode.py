@@ -97,6 +97,15 @@ def test_encode_validation(rs72):
             rs72.encode_blocks(bad)
 
 
+def test_encode_checks_its_message_once(rs72, monkeypatch):
+    calls = []
+    asarray = type(rs72.field).asarray
+    monkeypatch.setattr(type(rs72.field), "asarray",
+                        lambda self, values: calls.append(values) or asarray(self, values))
+    assert rs72.encode((5, 6)) == (4, 0, 1, 6, 3, 2)
+    assert calls == [(5, 6)]
+
+
 @pytest.mark.parametrize("q, k", [(7, 2), (16, 9), (256, 223), (257, 200)])
 def test_encode_blocks_rows_are_encodes(q, k):
     code = get_code(q, k)

@@ -1,7 +1,14 @@
-"""The comparison of `scripts/differential.py`: an outcome difference, or a
-record that only one tree has, counts against the run; a change of counts
-does not, but is printed, as ROSE when the count or any row's count rose."""
+"""The scripts' own rules.
 
+`scripts/differential.py`: an outcome difference, or a record that only
+one tree has, counts against the run; a change of counts does not, but is
+printed, as ROSE when the count or any row's count rose.
+
+`scripts/code_lines.py`: a code line holds a token of code, and
+docstrings of modules, classes and functions are not code.
+"""
+
+from scripts.code_lines import code_lines
 from scripts.differential import _compare
 
 
@@ -22,3 +29,43 @@ def test_differential_compare_counts_outcomes_and_prints_every_change(capsys):
     assert sorted(line.split()[0] for line in lines) == ["DIFF"] * 3 + ["FELL"] + ["ROSE"] * 2
     assert 'ROSE ["decode", [1]] mul_rows: [1, 2] -> [2, 1]' in lines
     assert 'DIFF ["decode", [2]] failure: "TooManyErrors" != "VerifyFailed"' in lines
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    source = '''"""Module docstring,
+over two lines."""
+
+# a comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring,
+        over two lines."""
+        # a comment
+        return 1  # a trailing comment counts once
+'''
+    assert code_lines(source) == 3  # class, def, return
+
+
+def test_code_lines_count_every_line_of_a_statement_and_a_non_docstring():
+    source = '''x = f(
+    1,
+
+    2,
+)
+y = """a string
+that is not a docstring
+"""
+
+
+def g():
+    z = 1
+    """Not a docstring: it is not the body's first statement."""
+    return z
+'''
+    # the call's 4 code lines (the blank line inside has no token), the
+    # string's 3, and g's 4
+    assert code_lines(source) == 4 + 3 + 4

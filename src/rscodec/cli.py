@@ -179,7 +179,7 @@ def _read_stream(path: str, fmt: str) -> tuple[StreamHeader, RSCode, np.ndarray]
         raise CliError(EXIT_DATA,
                        f"stream body holds {len(symbols)} symbols, not a multiple of n = {n}")
     blocks = symbols.astype(np.int64, copy=False).reshape(-1, n)
-    need = -(-header.payload_len // code.k) if header.payload_len else 0
+    need = -(-header.payload_len // code.k)
     if len(blocks) != need:
         raise CliError(EXIT_DATA,
                        f"stream has {len(blocks)} blocks but payload_len {header.payload_len} "
@@ -283,11 +283,14 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "bin"), default="text",
                        help="payload and stream body format (default: text)")
 
+    def add_code(p):
+        p.add_argument("--q", type=int, required=True, help="field size (prime or 2^m)")
+        p.add_argument("--k", type=int, required=True, help="message symbols per block")
+        p.add_argument("--alpha", type=int, default=None,
+                       help="primitive element (default: smallest)")
+
     p = sub.add_parser("encode", help="encode a payload into a coded stream")
-    p.add_argument("--q", type=int, required=True, help="field size (prime or 2^m)")
-    p.add_argument("--k", type=int, required=True, help="message symbols per block")
-    p.add_argument("--alpha", type=int, default=None,
-                   help="primitive element (default: smallest)")
+    add_code(p)
     add_format(p)
     p.add_argument("input", help="payload file")
     p.add_argument("output", help="coded stream file")
@@ -312,13 +315,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="decoded payload file")
 
     p = sub.add_parser("compare", help="benchmark decoders on random corruptions")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=int, default=None)
+    add_code(p)
     p.add_argument("--t-values", default=None,
                    help="comma-separated error weights (default: 0..tau)")
     p.add_argument("--trials", type=int, default=100, help="trials per t")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="RNG seed")
     p.add_argument("--decoders", default="interp,pgz",
                    help=f"comma-separated subset of {sorted(DECODERS)}")
     p.add_argument("--include-wall", action="store_true",

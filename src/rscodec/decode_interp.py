@@ -177,8 +177,8 @@ class DecodeOutcome:
     def message(self) -> tuple[int, ...]:
         if self._message is None:
             code = self._code
-            self._message = code.low_from_evaluations(code.field.eval_at_powers(
-                self.codeword, first=code.n - code.k + 1, count=code.k))
+            self._message = code.low_from_evaluations(code.field.eval_at_powers(  # int64: trusted
+                np.array(self.codeword, dtype=np.int64), first=code.n - code.k + 1, count=code.k))
         return tuple(self._message.tolist())
 
 
@@ -413,7 +413,7 @@ def _massey(code: RSCode, s: list[int]) -> tuple[int, Poly]:
     n = f.q - 1
     exp2, log = f._exp2, f.log
     prime, p = f.kind == "prime", f.p
-    s_log = [log[x] if x else -1 for x in s]
+    s_log = [log[x] for x in s]  # log 0 is -1
     conn: list[int] = [1]      # C
     conn_terms: list[tuple[int, int]] = []  # (i, log C_i) for nonzero C_i, i >= 1
     prev_terms = [(0, 0)]      # the same for C before the last length change
@@ -489,7 +489,7 @@ def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
         locator = locator.scale(code.field.inv(locator.coeffs[-1]))
     f, n, k = code.field, code.n, code.k
     evals = f.eval_at_powers(code._checked(word), first=1, count=n)
-    quot = _recovered_quotient(code, evals, locator, DecodeTrace())
+    quot = _recovered_quotient(code, evals[:n - k], locator, DecodeTrace())
     return Poly(f, f.sub_arr(code.low_from_evaluations(evals[n - k:]), quot[:k]).tolist())
 
 
@@ -497,7 +497,7 @@ def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
              locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray | None]:
     f = code.field
     n, k = code.n, code.k
-    quot = _recovered_quotient(code, evals, locator, trace)
+    quot = _recovered_quotient(code, evals[:n - k], locator, trace)
     if len(evals) < n and (f.eval_products(n, int(np.count_nonzero(quot)))
                            > f.eval_products(k, int(np.count_nonzero(word)))
                            + f.eval_products(n, k)):
@@ -513,11 +513,12 @@ def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
     return f.sub_arr(word, f.eval_at_powers(quot, first=0, count=n)), None
 
 
-def _recovered_quotient(code: RSCode, evals: np.ndarray, locator: Poly,
+def _recovered_quotient(code: RSCode, synd: np.ndarray, locator: Poly,
                         trace: DecodeTrace) -> np.ndarray:
     """The exact quotient Q = (x^n - 1) mu / lambda of the monic locator,
-    so that f_c = f_u - Q; raises InexactDivision or DegreeTooHigh, then
-    fills the trace's interp_* and high_* values.
+    from the word's n - k syndromes `synd`, so that f_c = f_u - Q; raises
+    InexactDivision or DegreeTooHigh, then fills the trace's interp_* and
+    high_* values.
 
     For the monic locator lambda, lambda * f_u = lambda * f_c + (x^n - 1)
     * mu with deg(lambda * f_c) < k + t <= n, so mu is the coefficients of
@@ -529,7 +530,6 @@ def _recovered_quotient(code: RSCode, evals: np.ndarray, locator: Poly,
     """
     f = code.field
     n, k = code.n, code.k
-    synd = evals[:n - k]
     t = locator.degree
     quot, exact = _wrapped_quotient(f, locator.coeffs, f.neg_arr(synd[t - 1::-1]), n)
     if not exact:
@@ -541,11 +541,11 @@ def _recovered_quotient(code: RSCode, evals: np.ndarray, locator: Poly,
     if above.size:
         raise DegreeTooHigh(f"recovered polynomial has degree {k + int(above[-1])}, "
                             f"expected < k = {k}")
-    # deg f_u = n - 1 - j for the first nonzero evaluation u(alpha^(j+1)):
+    # deg f_u = n - 1 - j for the first nonzero evaluation u(alpha^(j+1)),
     # a syndrome, as the pipeline's tail runs only on a word that is not a
-    # codeword, or any of the n evaluations `recover_codeword_polynomial`
-    # passes.
-    nonzero = np.flatnonzero(evals)
+    # codeword (-inf only for a codeword that `recover_codeword_polynomial`
+    # is given, which discards the trace).
+    nonzero = np.flatnonzero(synd)
     trace.interp_degree = n - 1 - int(nonzero[0]) if nonzero.size else -math.inf
     trace.high_quotient = functools.partial(_high_quotient, f, locator, synd[:t].tolist())
     return quot
@@ -681,12 +681,12 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray
     f = code.field
     t = locator.degree
     n = f.q - 1
-    pos = np.flatnonzero(f.eval_at_powers(locator.coeffs, first=0, count=n) == 0)
+    lam = np.array(locator.coeffs[::-1], dtype=np.int64)  # Lambda_j = lambda_(t-j), Lambda_0 = 1
+    pos = np.flatnonzero(f.eval_at_powers(lam[::-1], first=0, count=n) == 0)
     if len(pos) != t:
         raise RootCountMismatch(
             f"locator of degree {t} has {len(pos)} distinct nonzero roots")
     exp2, log = f._exp2_np, f._log_np
-    lam = np.array(locator.coeffs[::-1], dtype=np.int64)  # Lambda_j = lambda_(t-j), Lambda_0 = 1
     # Lambda' = sum_(j >= 1) j Lambda_j x^(j-1), with j mod p: in characteristic
     # 2 an even j has the sentinel log of 0, so its term reads exp2's zero tail.
     deriv = exp2[log[lam[1:]] + log[np.arange(1, t + 1) % f.p]]

@@ -126,8 +126,6 @@ class FeMat:
         return not self._a.any()
 
     def rank(self) -> int:
-        if self._a.size == 0:
-            return 0
         work = self._a.copy()
         pivots, _ = _eliminate(self.field, work, work.shape[1])
         return len(pivots)
@@ -136,8 +134,6 @@ class FeMat:
         n = self.rows
         if n != self.cols:
             raise ValueError(f"determinant requires a square matrix, got {self.shape}")
-        if n == 0:
-            return 1  # empty product
         work = self._a.copy()
         pivots, det = _eliminate(self.field, work, n)
         if len(pivots) < n:

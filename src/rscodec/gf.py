@@ -40,7 +40,10 @@ range-checks it, as any integer array, with one reduction: the maximum
 of its int64 values viewed as uint64, where a negative value is above
 every q.  It falls back to `check`, element by element, for anything
 else, so both accept the same values and name the first value they
-reject.
+reject.  They are the only element checks: `Poly` checks its
+coefficients through `asarray`, and `eval_at_powers` checks through it
+any coefficients but an int64 array.  An int64 array is trusted there,
+as by every bulk kernel, so the decoders' own arrays pay no check.
 
 Polynomial evaluation, `eval_at_powers`, has two paths and one rule
 between them.  The direct sum forms every term of every point as one
@@ -237,11 +240,10 @@ def _gf2_poly_mod(a: int, b: int) -> int:
 def _gf2_is_irreducible(mask: int, m: int) -> bool:
     if mask.bit_length() - 1 != m:
         return False
-    if not (mask & 1):
-        return False  # divisible by x
-    # A reducible degree-m polynomial has a factor of degree <= m // 2.
+    # A reducible degree-m polynomial has a factor of degree <= m // 2; the
+    # first candidate is x, which divides a mask with bit 0 clear.
     for cand in range(2, 1 << (m // 2 + 1)):
-        if cand.bit_length() >= 2 and _gf2_poly_mod(mask, cand) == 0:
+        if _gf2_poly_mod(mask, cand) == 0:
             return False
     return True
 
@@ -382,9 +384,10 @@ class Field:
         return r
 
     def _is_primitive_slow(self, x: int) -> bool:
-        # x generates the group iff x^((q-1)/f) != 1 for every prime f | q-1.
+        # A nonzero x generates the group iff x^((q-1)/f) != 1 for every
+        # prime f | q-1.
         n = self.q - 1
-        if x == 0 or self._pow_slow(x, n) != 1:
+        if x == 0:
             return False
         return all(self._pow_slow(x, n // f) != 1 for f in _prime_factors(n))
 
@@ -524,12 +527,15 @@ class Field:
         Requires len(coeffs) <= q-1 (degree below the group order).  Returns
         an int64 array of length `count` (default: the whole group orbit).
         A (B, L) array of coefficients is B polynomials, evaluated row by
-        row into a (B, count) array.
+        row into a (B, count) array.  An int64 array is trusted, as every
+        bulk kernel trusts its arrays; anything else is read as `np.asarray`
+        reads it (a nested list is 2-D) and checked by `asarray`.
         """
         n = self.q - 1
         if count is None:
             count = n
-        c = np.asarray(coeffs, dtype=np.int64)
+        trusted = isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64
+        c = coeffs if trusted else self.asarray(np.asarray(coeffs))
         if c.ndim not in (1, 2):
             raise ValueError(f"coefficients must be a 1-D or 2-D array, not {c.ndim}-D")
         if c.shape[-1] > n:
@@ -655,7 +661,8 @@ class Field:
                 np.remainder(out, self.p, out=out)
             vals = out.reshape(b, -1, size).transpose(0, 2, 1)
         add_mul_ops(products)
-        return vals.reshape(b, n)[:, plan.out_index[(first + np.arange(count)) % n]]
+        window = np.take(plan.out_index, np.arange(first, first + count), mode="wrap")
+        return vals.reshape(b, n)[:, window]
 
     # ----- identity --------------------------------------------------------------
 

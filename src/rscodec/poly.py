@@ -1,8 +1,9 @@
 """Dense univariate polynomials over a finite field.
 
 Coefficients are stored low degree first as a tuple of canonical field
-elements with trailing zeros trimmed, so equal polynomials compare equal;
-the constructor accepts exactly the coefficients `Field.check` accepts.
+elements with trailing zeros trimmed, so equal polynomials compare equal.
+The constructor checks its coefficients, any iterable of them, through
+`Field.asarray`, so it accepts exactly what `Field.check` accepts.
 The zero polynomial has an empty coefficient tuple and degree -infinity,
 which keeps the degree law deg(a*b) = deg(a) + deg(b) true without a
 special case.
@@ -17,7 +18,7 @@ the decoders' kernels against.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,19 +28,16 @@ from .gf import Field
 class Poly:
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, coeffs: Sequence[int] = ()):
-        # Plain ints are range-checked in one pass; anything else goes
-        # through `check`, which names the first value it rejects.
-        if (set(map(type, coeffs)) <= {int} and min(coeffs, default=0) >= 0
-                and max(coeffs, default=0) < field.q):
-            coeffs = tuple(coeffs)
-        else:
-            coeffs = tuple(map(field.check, coeffs))
+    def __init__(self, field: Field, coeffs: Iterable[int] = ()):
+        a = field.asarray(coeffs)
+        if a.ndim != 1:  # `asarray` keeps an array's shape
+            raise ValueError(f"coefficients must be a 1-D sequence, not {a.ndim}-D")
+        coeffs = a.tolist()
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
         self.field = field
-        self.coeffs = coeffs[:end]
+        self.coeffs = tuple(coeffs[:end])
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
@@ -83,8 +81,6 @@ class Poly:
 
     def scale(self, s: int) -> "Poly":
         f = self.field
-        if s == 0:
-            return Poly.zero(f)
         return Poly(f, [f.mul(c, s) for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -128,8 +124,6 @@ class Poly:
 
     def shifted(self, k: int) -> "Poly":
         """Multiply by x^k."""
-        if self.is_zero():
-            return self
         return Poly(self.field, (0,) * k + self.coeffs)
 
     def roots_nonzero(self) -> set[int]:

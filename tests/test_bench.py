@@ -152,3 +152,5 @@ def test_config_validation():
         run_sweep(TrialConfig(**{**good, "decoders": ()}))
     with pytest.raises(ValueError):
         run_sweep(TrialConfig(**{**good, "decoders": ("bogus",)}))
+    with pytest.raises(ValueError, match="config.code must be an RSCode"):
+        run_sweep(TrialConfig(**{**good, "code": "x"}))

@@ -333,6 +333,18 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()  # drain error prints
 
 
+@pytest.mark.parametrize("command", ["encode", "compare"])
+def test_help_describes_the_code_options(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for text in ("--q Q field size (prime or 2^m)", "--k K message symbols per block",
+                 "--alpha ALPHA primitive element (default: smallest)"):
+        assert text in out
+    if command == "compare":
+        assert "--seed SEED RNG seed" in out
+
+
 def test_bad_t_values_is_a_usage_error(capsys):
     assert main(["compare", "--q", "7", "--k", "2", "--seed", "0",
                  "--t-values", "1,x"]) == EXIT_USAGE

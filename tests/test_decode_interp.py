@@ -472,6 +472,28 @@ def test_recover_codeword_polynomial_evaluates_the_word_once(monkeypatch):
     assert ctr.count < 12_000
 
 
+@pytest.mark.parametrize("name", sorted(DECODERS))
+def test_a_decode_evaluates_only_int64_arrays(name, monkeypatch):
+    # `eval_at_powers` checks anything but an int64 array through
+    # `Field.asarray`; every decoder stage, and the lazy message, hands it
+    # int64 arrays, which it trusts, so no decode pays that check.
+    rng = random.Random(29)
+    code = get_code(256, 223)
+    word = corrupt(rng, code, code.encode([rng.randrange(256) for _ in range(223)]), 5)
+    seen = []
+    field_cls = type(code.field)
+    eval_at_powers = field_cls.eval_at_powers
+
+    def recording_eval(self, coeffs, first=0, count=None):
+        seen.append(coeffs)
+        return eval_at_powers(self, coeffs, first, count)
+
+    monkeypatch.setattr(field_cls, "eval_at_powers", recording_eval)
+    outcome = DECODERS[name](code, word)
+    assert outcome.error_count == 5 and outcome.message
+    assert seen and all(isinstance(c, np.ndarray) and c.dtype == np.int64 for c in seen)
+
+
 # ----- full decode fixtures ---------------------------------------------------------------
 
 def test_decode_single_error_fixture(rs72):

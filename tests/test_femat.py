@@ -292,6 +292,15 @@ def test_matmul_shape_mismatch(f7):
         FeMat(f7, [[1, 2]]) @ FeMat(f7, [[1, 2]])
 
 
+def test_matmul_rejects_another_field(f7):
+    with pytest.raises(ValueError, match="matrices belong to different fields"):
+        FeMat(f7, [[1]]) @ FeMat(get_field(11), [[1]])
+
+
+def test_repr(f7):
+    assert repr(FeMat(f7, [[1, 2], [3, 4]])) == "FeMat(Field(7, alpha=5), [[1, 2], [3, 4]])"
+
+
 @pytest.mark.parametrize("q", [7, 256])
 def test_matmul_matches_scalar_triple_loop(q):
     f = get_field(q)

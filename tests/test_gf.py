@@ -57,6 +57,24 @@ def test_rejects_reducible_reduction():
     # x^8 + 1 = (x + 1)^8 over GF(2)
     with pytest.raises(ValueError):
         Field(256, reduction=0x101)
+    # x^4 + x = x (x^3 + 1): the search's first candidate, x, divides it
+    assert not gf._gf2_is_irreducible(0x12, 4)
+    with pytest.raises(ValueError, match="not an irreducible"):
+        Field(16, reduction=0x12)
+
+
+def test_primality_and_primitivity_helpers_reject_small_values():
+    assert not gf._is_prime(0)
+    assert not gf._is_prime(1)
+    assert gf._is_prime(2) and gf._is_prime(65521)
+    assert not Field(7)._is_primitive_slow(0)
+    assert Field(7)._is_primitive_slow(3)
+
+
+def test_field_repr():
+    assert repr(Field(7)) == "Field(7, alpha=3)"
+    assert repr(Field(256)) == "Field(2**8, reduction=0x11d, alpha=2)"
+    assert repr(Field(16, reduction=0x19, alpha=6)) == "Field(2**4, reduction=0x19, alpha=6)"
 
 
 def test_rejects_wrong_degree_reduction():
@@ -500,6 +518,24 @@ def test_transform_memory_is_bounded():
 def test_eval_at_powers_rejects_overlong_coefficients(f7):
     with pytest.raises(ValueError):
         f7.eval_at_powers([1] * 7, first=0, count=6)
+
+
+def test_eval_at_powers_checks_all_but_int64_arrays(f7):
+    # Anything but an int64 array goes through `Field.asarray`: nothing
+    # is wrapped, truncated or left to fail at a table lookup.
+    f256 = get_field(256)
+    for f, coeffs in ((f256, [-1]), (f256, [256]), (f256, np.array([300], dtype=np.int32)),
+                      (f7, [7]), (f7, [1.5]), (f7, [1.0]), (f7, np.array([1.5])),
+                      (f7, [[1, 2], [3, 7]])):
+        with pytest.raises(ValueError, match=r"is not an element of GF"):
+            f.eval_at_powers(coeffs, first=0, count=3)
+    # a nested list is read as np.asarray reads it, a row per polynomial
+    rows = [[1, 2, 3], [4, 0, 6]]
+    want = f7.eval_at_powers(np.array(rows, dtype=np.int64), first=1, count=4)
+    assert f7.eval_at_powers(rows, first=1, count=4).tolist() == want.tolist()
+    assert f7.eval_at_powers((1, 2, 3), first=1, count=4).tolist() == want[0].tolist()
+    assert f7.eval_at_powers(np.array([1, 2, 3], dtype=np.uint8),
+                             first=1, count=4).tolist() == want[0].tolist()
 
 
 def test_eval_at_powers_takes_one_or_two_dimensions(f7):

@@ -103,6 +103,10 @@ def test_too_large_guard():
         brute_nearest(code, (0,) * code.n)
     with pytest.raises(TooLargeToEnumerate):
         brute_min_distance(code)
+    # few enough codewords (997^2), but too many symbols
+    with pytest.raises(TooLargeToEnumerate,
+                       match="codebook holds 990032964 symbols, limit 50000000"):
+        codebook(get_code(997, 2))
 
 
 def test_decoder_agrees_with_oracle_within_radius():

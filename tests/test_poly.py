@@ -56,9 +56,28 @@ def test_degree_and_constructors(f7):
     assert Poly.one(f7) == P(f7, 1)
 
 
+def test_coefficients_from_any_iterable(f7):
+    # `Field.asarray` reads an iterator once: it is not the zero polynomial
+    assert Poly(f7, iter([1, 2, 3])) == Poly(f7, [1, 2, 3])
+    assert Poly(f7, (c for c in (1, 2, 3))).coeffs == (1, 2, 3)
+    assert Poly(f7, range(4, 7)).coeffs == (4, 5, 6)
+    # a 0-D or 2-D array is not one coefficient sequence
+    for coeffs in (np.array(3), np.array([[1, 2], [3, 4]])):
+        with pytest.raises(ValueError, match=r"must be a 1-D sequence, not [02]-D"):
+            Poly(f7, coeffs)
+
+
 def test_repr_is_readable(f7):
     assert repr(P(f7, 5, 6)) == "Poly(6x + 5)"
     assert repr(Poly.zero(f7)) == "Poly(0)"
+    # zero terms are left out, and a unit coefficient is not written
+    assert repr(P(f7, 5, 0, 1)) == "Poly(x^2 + 5)"
+    assert repr(P(f7, 0, 1, 0, 4)) == "Poly(4x^3 + x)"
+
+
+def test_equal_polynomials_hash_equal(f7):
+    assert hash(P(f7, 1, 2)) == hash(P(f7, 1, 2, 0))
+    assert len({P(f7, 1, 2), P(f7, 1, 2, 0), P(f7, 2, 1)}) == 2
 
 
 def test_cross_field_operations_rejected(f7):

@@ -30,6 +30,7 @@ LAGRANGE_FIXTURES = {
 
 def test_parameters(rs72):
     assert (rs72.n, rs72.k, rs72.d, rs72.tau) == (6, 2, 5, 2)
+    assert repr(rs72) == "RSCode(q=7, alpha=5, k=2)"
 
 
 def test_k_bounds(f7):

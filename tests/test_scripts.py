@@ -6,7 +6,16 @@ printed, as ROSE when the count or any row's count rose.
 
 `scripts/code_lines.py`: a code line holds a token of code, and
 docstrings of modules, classes and functions are not code.
+
+`scripts/line_trace.py`: a statement no test runs is listed, with its
+path and line, and a docstring never is.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from scripts.code_lines import code_lines
 from scripts.differential import _compare
@@ -69,3 +78,35 @@ def g():
     # the call's 4 code lines (the blank line inside has no token), the
     # string's 3, and g's 4
     assert code_lines(source) == 4 + 3 + 4
+
+
+def test_line_trace_lists_the_statements_no_test_runs(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(textwrap.dedent('''\
+        """Module docstring."""
+
+
+        def used(x):
+            """Function docstring."""
+            if x:
+                return 1
+            return 2
+
+
+        def unused():
+            return 3
+        '''))
+    (tmp_path / "pkg" / "never.py").write_text('"""Never imported."""\nX = 1\n')
+    (tmp_path / "test_mod.py").write_text(
+        "from pkg.mod import used\n\n\ndef test_used():\n    assert used(1) == 1\n")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "line_trace.py"
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    proc = subprocess.run([sys.executable, str(script), "pkg", "--", "-q", "-p", "no:cacheprovider",
+                           "test_mod.py"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-4:] == [f"{Path('pkg', 'mod.py')}:8: return 2",
+                          f"{Path('pkg', 'mod.py')}:12: return 3",
+                          f"{Path('pkg', 'never.py')}:2: X = 1",
+                          "3 statements not run"]

@@ -24,10 +24,11 @@ A record holds an outcome (codeword, error, count, locator, trace
 counters, message) or a failure (type, text, trace counters), and the
 field multiplications of each call (fields named `mul*`).  Every
 difference is printed, outcomes and counts alike; a count that rose is
-marked ROSE, one that fell FELL.  The exit status is 1 when any outcome
-differs, 2 when REF cannot be exported or a tree could not run the
-corpus, and 0 otherwise, so a change of counts alone passes.  Stdlib
-and git only.
+marked ROSE, one that fell FELL.  The summary gives each kind's products
+at REF and here, and its largest rise with the record it is in.  The
+exit status is 1 when any outcome differs, 2 when REF cannot be exported
+or a tree could not run the corpus, and 0 otherwise, so a change of
+counts alone passes.  Stdlib and git only.
 
 Run from the repository root (the working tree, uncommitted changes
 included, against REF):
@@ -226,11 +227,11 @@ def _records(lines: list[str]) -> dict:
 def _compare(ref: dict, new: dict) -> tuple[int, dict]:
     """Print every difference; return the number of outcome differences
     and, per kind, [records, products at REF, products here, count fields
-    that rose, count fields that fell].  A list of per-row counts rose
-    when any row rose; the totals leave it out, as its call's count holds
-    it."""
+    that rose, count fields that fell, the largest rise, where it is].  A
+    list of per-row counts rose when any row rose, by its largest row's
+    rise; the totals leave it out, as its call's count holds it."""
     outcome_diffs = 0
-    totals: dict[str, list[int]] = {}
+    totals: dict[str, list] = {}
     for key in sorted(ref.keys() | new.keys()):
         if key not in ref or key not in new:
             outcome_diffs += 1
@@ -238,7 +239,7 @@ def _compare(ref: dict, new: dict) -> tuple[int, dict]:
             continue
         old, cur = ref[key], new[key]
         kind = json.loads(key)[0]
-        tally = totals.setdefault(kind, [0, 0, 0, 0, 0])
+        tally = totals.setdefault(kind, [0, 0, 0, 0, 0, 0, ""])
         tally[0] += 1
         for name in sorted(old.keys() | cur.keys()):
             a, b = old.get(name), cur.get(name)
@@ -247,9 +248,12 @@ def _compare(ref: dict, new: dict) -> tuple[int, dict]:
                     tally[1] += a or 0
                     tally[2] += b or 0
                 if a != b:
-                    rose = (any(y > x for x, y in zip(a, b)) if isinstance(a, list)
-                            else (b or 0) > (a or 0))
+                    rise = (max((y - x for x, y in zip(a, b)), default=0) if isinstance(a, list)
+                            else (b or 0) - (a or 0))
+                    rose = rise > 0
                     tally[3 if rose else 4] += 1
+                    if rise > tally[5]:
+                        tally[5:] = rise, f"{key} {name}"
                     print(f"{'ROSE' if rose else 'FELL'} {key} {name}: {_short(a)} -> {_short(b)}")
             elif a != b:
                 outcome_diffs += 1
@@ -306,8 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     ref, new = _records(ref_lines), _records(new_lines)
     print(f"this tree against {args.against} ({sha}): {len(new)} records")
     outcome_diffs, totals = _compare(ref, new)
-    for kind, (records, old, cur, rose, fell) in sorted(totals.items()):
-        print(f"{kind}: {records} records, products {old} -> {cur}, {rose} rose, {fell} fell")
+    for kind, (records, old, cur, rose, fell, top, where) in sorted(totals.items()):
+        print(f"{kind}: {records} records, products {old} -> {cur}, {rose} rose, {fell} fell"
+              + (f", largest rise +{top} at {where}" if rose else ""))
     print(f"outcome differences: {outcome_diffs} ({time.perf_counter() - start:.1f} s)")
     return 1 if outcome_diffs else 0
 

@@ -27,7 +27,9 @@ can raise, and raises its failures without a trace, as the tail does:
   nested, each adding a column and dropping a row, so one reduced basis
   of the failed candidates' columns, cut to the shrinking row window,
   decides each check with one reduction of the new column), then the
-  t x t Hankel system [s_(i+j)] for lambda (`solve_locator`);
+  t x t Hankel system [s_(i+j)] lambda = -(s_t, ..., s_(2t-1))
+  (`solve_locator`), solved not by a second elimination but as the
+  shift-register synthesis on s_0, ..., s_(2t-1) that `bm` runs;
 - the Peterson-Gorenstein-Zierler determinant scan (the largest h <= tau
   with a nonzero h x h Hankel determinant; 0 checks for a codeword,
   tau - t + 1 on success, tau on failure, one check per candidate h
@@ -36,7 +38,7 @@ can raise, and raises its failures without a trace, as the tail does:
   columns decide h = r, as the symmetric H_tau has a nonsingular H_r iff
   they are 0, ..., r - 1; only past a singular H_r does each h < r take
   its own elimination, which finds h pivots iff H_h is nonsingular),
-  then `solve_locator`;
+  then `solve_locator` on the nonsingular H_h;
 - Berlekamp-Massey (`berlekamp_massey`).  Candidate t passes the rank
   check iff some length-t LFSR generates all n - k syndromes, so the
   paper's t is the sequence's linear complexity L, and lambda is the
@@ -112,7 +114,7 @@ from .exceptions import (
     TooManyErrors,
     VerifyFailed,
 )
-from .femat import FeMat, _eliminate
+from .femat import _eliminate
 from .gf import Field, add_mul_ops, mul_ops_total
 from .poly import Poly
 from .rscode import RSCode
@@ -203,8 +205,9 @@ def pgz_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
     the same elimination shows the t x t block nonsingular.  Only beyond
     the radius, where the r x r block can be singular, does it eliminate
     again, once for each h < r it decides: H_h is nonsingular iff its
-    elimination finds h pivots.  The scan forms no determinant, and the
-    locator system is the only linear system it solves.
+    elimination finds h pivots.  The scan forms no determinant, and
+    `solve_locator` takes the locator from the h x h system by
+    shift-register synthesis, without a second elimination.
     """
     return _run(code, word, *_pipeline("pgz"))
 
@@ -454,25 +457,31 @@ def _massey(code: RSCode, s: list[int]) -> tuple[int, Poly]:
 
 
 def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
-    """Monic degree-t locator from the t x t Hankel syndrome system.
+    """Monic degree-t locator from the t x t Hankel syndrome system
+    [s_(i+j)] lambda = -(s_t, ..., s_(2t-1)).
 
-    For the true error count t <= tau the system is uniquely solvable and
-    the constant term is nonzero (zero is not an evaluation point); both
-    are still checked and reported as SingularLocatorSystem.
+    Its solutions are the length-t LFSRs generating s_0, ..., s_(2t-1),
+    each lambda the reversed connection polynomial x^t C(1/x), so Massey's
+    count law decides it from the sequence's linear complexity L (Massey,
+    1969): no solution when L > t, many when L < t (C and C (1 + a x) both
+    fit), and when L = t the unique shortest LFSR, as 2L <= 2t.  `_massey`
+    on those 2t syndromes gives L and that locator in O(t^2) steps.  For
+    the true error count t <= tau the system is uniquely solvable and the
+    constant term is nonzero (zero is not an evaluation point); both are
+    still checked and reported as SingularLocatorSystem.
     """
     if not 1 <= t <= code.tau:
         raise ValueError(f"error count t={t} must satisfy 1 <= t <= tau = {code.tau}")
     # Checked again on the pipeline's own syndromes: the benchmark's tests
     # count one call of this public name per decode (ROADMAP item 7).
     s = code._checked(syndromes, "syndrome vector")
-    lhs = FeMat._wrap(code.field, _hankel(s, t, t))
-    res = lhs.solve(code.field.neg_arr(s[t:2 * t]))
-    if not res.is_unique():
-        raise SingularLocatorSystem(
-            f"locator system for t={t} is {res.status.value}")
-    if res.solution[0] == 0:
+    length, locator = _massey(code, s[:2 * t].tolist())
+    if length != t:
+        status = "no_solution" if length > t else "underdetermined"
+        raise SingularLocatorSystem(f"locator system for t={t} is {status}")
+    if locator.coeffs[0] == 0:
         raise SingularLocatorSystem(_ZERO_CONSTANT)
-    return Poly(code.field, res.solution + (1,))
+    return locator
 
 
 # ----- tails: (code, word, evaluations, locator, trace) -> (codeword, message or None)

@@ -1,5 +1,6 @@
 """Interpolation-degree decoder: worked fixtures, failure paths, properties."""
 
+import itertools
 import random
 
 import numpy as np
@@ -13,7 +14,9 @@ from rscodec import (
     InexactDivision,
     Poly,
     RootCountMismatch,
+    RSCode,
     SingularLocatorSystem,
+    SolveStatus,
     TooManyErrors,
     VerifyFailed,
     berlekamp_massey,
@@ -30,6 +33,7 @@ from rscodec.decode_interp import (
     _bm_scan,
     _error_evaluator,
     _error_positions_and_values,
+    _hankel,
     _rank_scan,
     _run,
     _wrapped_quotient,
@@ -280,9 +284,85 @@ def test_locator_zero_constant_term_rejected(rs72):
 
 
 def test_locator_singular_system_rejected(rs72):
-    # t = 2 Hankel matrix [[3,1],[1,5]] is singular over F_7
-    with pytest.raises(SingularLocatorSystem):
+    # t = 2 Hankel matrix [[3,1],[1,5]] is singular over F_7, and the
+    # system is consistent: s_0, ..., s_3 have linear complexity 1 < 2
+    with pytest.raises(SingularLocatorSystem) as exc:
         solve_locator(rs72, (3, 1, 5, 4), 2)
+    assert str(exc.value) == "locator system for t=2 is underdetermined"
+    # (1, 0, 0, 1) has linear complexity 3 > 2: no length-2 LFSR fits
+    with pytest.raises(SingularLocatorSystem) as exc:
+        solve_locator(rs72, (1, 0, 0, 1), 2)
+    assert str(exc.value) == "locator system for t=2 is no_solution"
+
+
+_ZERO_TEXT = "locator constant term is zero, implying an error at the excluded point 0"
+
+
+def _hankel_reference(f, s, t):
+    """The locator, or the SingularLocatorSystem text, that solving the
+    t x t Hankel system with `FeMat.solve` gives."""
+    s = np.asarray(s, dtype=np.int64)
+    res = FeMat._wrap(f, _hankel(s, t, t)).solve(f.neg_arr(s[t:2 * t]))
+    if res.status is not SolveStatus.UNIQUE:
+        return f"locator system for t={t} is {res.status.value}"
+    if res.solution[0] == 0:
+        return _ZERO_TEXT
+    return Poly(f, res.solution + (1,))
+
+
+def _locator_or_text(code, s, t):
+    try:
+        return solve_locator(code, s, t)
+    except SingularLocatorSystem as exc:
+        return str(exc)
+
+
+def _hankel_stand_in(f, t):
+    """What `solve_locator` reads of a code, with 2t syndromes and tau = t:
+    the Hankel system is defined over every field for every t, but a code
+    over GF(4) or GF(5) has at most 3 syndromes."""
+    code = object.__new__(RSCode)
+    code.field, code.tau, code._one = f, t, Poly.one(f)
+    code._sizes = {"syndrome vector": (2 * t, "n - k")}
+    return code
+
+
+def test_solve_locator_matches_the_hankel_elimination():
+    # `solve_locator` runs Massey's synthesis on s_0, ..., s_(2t-1) and
+    # maps its linear complexity L to the system's status: L = t unique,
+    # L > t no_solution, L < t underdetermined.  The sequences over GF(5)
+    # for t <= 3 and over GF(4) and GF(8) for t <= 2, all of them, meet
+    # all four outcomes at each t; the elimination is the independent
+    # reference.
+    for q, top in ((5, 3), (4, 2), (8, 2)):
+        f = get_field(q)
+        for t in range(1, top + 1):
+            code = _hankel_stand_in(f, t)
+            seen = set()
+            for s in itertools.product(range(q), repeat=2 * t):
+                want = _hankel_reference(f, s, t)
+                assert _locator_or_text(code, s, t) == want, (q, s)
+                seen.add(want if isinstance(want, str) else "unique")
+            assert len(seen) == 4, (q, t, seen)
+    # Random syndrome vectors of real codes at every t up to tau: uniform
+    # ones (mostly L = t), syndromes of errors of every weight (L = weight,
+    # as long as 2 weight <= n - k) and sparse ones.
+    for q, k, kw in ((16, 6, {"reduction": 0x19, "alpha": 6}), (256, 223, {}), (257, 200, {})):
+        code = get_code(q, k, **kw)
+        rng = random.Random(q + k)
+        r = code.n - code.k
+        vectors = [[rng.randrange(q) for _ in range(r)] for _ in range(8)]
+        for weight in range(code.tau + 2):
+            word = corrupt(rng, code, code.encode([rng.randrange(q) for _ in range(k)]), weight)
+            vectors.append(code.syndromes(word))
+        for _ in range(8):
+            s = [0] * r
+            for i in rng.sample(range(r), rng.randrange(1, 4)):
+                s[i] = rng.randrange(1, q)
+            vectors.append(s)
+        for s in vectors:
+            for t in sorted(rng.sample(range(1, code.tau + 1), min(3, code.tau))):
+                assert _locator_or_text(code, s, t) == _hankel_reference(code.field, s, t), (q, s, t)
 
 
 def test_locator_t_range_validated(rs72):
@@ -290,6 +370,78 @@ def test_locator_t_range_validated(rs72):
         solve_locator(rs72, (3, 1, 5, 4), 0)
     with pytest.raises(ValueError):
         solve_locator(rs72, (3, 1, 5, 4), 3)
+
+
+@pytest.mark.parametrize("q, k, kw, found", [
+    (7, 2, {"alpha": 5}, {1: 6, 2: 258}),
+    (13, 5, {}, {3: 15}),
+])
+def test_rank_scan_locator_failure_is_the_zero_constant(q, k, kw, found):
+    # Words past the radius, searched for a rank-scan t whose leading t x t
+    # Hankel block is singular: every syndrome class of GF(7) k = 2 (one
+    # word on positions 0, ..., n-k-1 each) and a seeded sample of GF(13)
+    # k = 5.  There is none, and there can be none, so neither
+    # no_solution nor underdetermined follows the rank scan: its t is the
+    # linear complexity of all n - k syndromes (a length-t LFSR generates
+    # them, no shorter one does), and s_0, ..., s_(2t-1) have complexity t
+    # too, as a complexity l < t there would have to jump at some index
+    # N >= 2t to at least N + 1 - l > t (Massey, 1969).  The locator
+    # stage's only failure there is the zero constant term, with the text,
+    # type and rank_checks that `decode` and `decode_via_positions` raise.
+    code = get_code(q, k, **kw)
+    f, r = code.field, code.n - code.k
+    rng = random.Random(q * 31 + k)
+    if q == 7:
+        words = [w + (0,) * k for w in itertools.product(range(q), repeat=r)]
+    else:  # 7% of these have t <= tau, 0.5% a zero constant term
+        words = [random_word(rng, code) for _ in range(3000)]
+    failures = {fn: {} for fn in (decode, decode_via_positions)}
+    for word in words:
+        s = code.syndromes(word)
+        t = detect_error_count(code, s)
+        if not t:
+            continue
+        want = _hankel_reference(f, s, t)
+        assert isinstance(want, Poly) or want == _ZERO_TEXT, (word, want)
+        for fn, seen in failures.items():
+            try:
+                fn(code, word)
+            except SingularLocatorSystem as exc:
+                assert str(exc) == want == _ZERO_TEXT, (word, fn)
+                assert exc.trace.rank_checks == t + 1, (word, fn)
+                seen[t] = seen.get(t, 0) + 1
+            except DecodeFailure:
+                pass
+    assert failures == {decode: found, decode_via_positions: found}
+
+
+def test_no_decode_solves_the_locator_system_by_elimination(monkeypatch):
+    # The paper scans take the locator from `solve_locator`, once a decode,
+    # and it never calls `FeMat.solve`; nor does any other stage.
+    from rscodec import decode_interp
+
+    def forbidden(self, rhs):
+        raise AssertionError("no decode calls FeMat.solve")
+
+    calls = []
+    solve = decode_interp.solve_locator
+    monkeypatch.setattr(FeMat, "solve", forbidden)
+    monkeypatch.setattr(decode_interp, "solve_locator",
+                        lambda code, s, t: calls.append(t) or solve(code, s, t))
+    code = get_code(256, 223)
+    rng = random.Random(223)
+    cws, words = [], []
+    for t in (1, 8, 16):
+        cws.append(code.encode([rng.randrange(256) for _ in range(223)]))
+        words.append(corrupt(rng, code, cws[-1], t))
+    for name in ("interp", "interp-pos", "pgz"):
+        for t, cw, word in zip((1, 8, 16), cws, words):
+            calls.clear()
+            assert DECODERS[name](code, word).codeword == cw
+            assert calls == [t], name
+        calls.clear()
+        rows = decode_blocks(code, np.array(words), name)[1]
+        assert [row.codeword for row in rows] == cws and calls == [1, 8, 16], name
 
 
 # ----- step 3: codeword polynomial recovery --------------------------------------------
@@ -537,7 +689,10 @@ def test_high_quotient_is_formed_when_read(rs72, monkeypatch):
     assert len(calls) == 1 and reading.count == 0
     # On RS(255,223) at t = 16, mu has 120 products, one per nonzero
     # Lambda_j s_(r-j): the decode no longer counts them (22 805 when it
-    # did), the first read counts exactly them, a second read none.
+    # did), the first read counts exactly them, a second read none.  The
+    # decode's 21 554 are 22 805 - 120 less the 1 632 of the locator
+    # system's elimination, plus the 501 of Massey's synthesis on
+    # s_0, ..., s_31 that replaced it.
     rng = random.Random(255)
     code = get_code(256, 223)
     word = corrupt(rng, code, code.encode([rng.randrange(256) for _ in range(223)]), 16)
@@ -550,7 +705,7 @@ def test_high_quotient_is_formed_when_read(rs72, monkeypatch):
     lam, synd = out.locator.coeffs[::-1], code.syndromes(word)
     assert reading.count == 120 == sum(
         1 for j in range(1, 16) for r in range(j, 16) if lam[j] and synd[r - j])
-    assert decoding.count == 22_805 - 120 and again.count == 0
+    assert decoding.count == 21_554 and again.count == 0
 
 
 def test_decode_codeword_fixture(rs72, monkeypatch):

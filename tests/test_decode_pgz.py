@@ -292,10 +292,10 @@ def test_scan_past_a_singular_leading_block_forms_no_determinant(monkeypatch):
 
 def test_determinant_scan_cost():
     # One elimination of H_tau decides every h above its rank t, and its
-    # pivots decide h = t: on the t = 50 word of RS(255,4), 583 854
-    # products (512 058 of them in the elimination, 45 080 in the locator
-    # solve), where a determinant for each h = 125, ..., 50 takes
-    # 17 653 911.  All the counts are deterministic.
+    # pivots decide h = t: on the t = 50 word of RS(255,4), 538 691
+    # products, 4 975 of them in the locator's shift-register synthesis (a
+    # second elimination took 43 760); a determinant for each
+    # h = 125, ..., 50 takes 17 653 911.  All the counts are deterministic.
     rng = random.Random(256)
     code = get_code(256, 4)
     cw = code.encode([rng.randrange(256) for _ in range(4)])

@@ -13,6 +13,12 @@ The corpus:
   GF(11) k = 3;
 - words: codewords plus errors of every weight 0 ... tau + 3 (at most n),
   and uniformly random words;
+- boundary words (`boundary_words`): a codeword plus tau + 1 or tau
+  symbols of a minimum-weight codeword, on RS(255,223) and RS(255,222),
+  GF(257) k = 200 and 199, GF(16) 0x19 alpha = 6 k = 6 and 5, GF(2^16)
+  k = 65503 and GF(65521) k = 65488 and 65489, decoded one by one and as
+  blocks (the two large fields by `bm` and `pgz`, GF(2^16) also by
+  `interp`);
 - runs: every decoder of `DECODERS` on each word, counting the decode and
   then the `.message` read apart; `decode_blocks` in chunks of `CHUNK`
   rows; the public stages `detect_error_count`, `berlekamp_massey`,
@@ -71,6 +77,50 @@ MATRIX_FIELDS = ((7, {}), (13, {}), (16, {"reduction": 0x19}), (256, {}), (257, 
 MATRICES = 60  # random FeMat systems per field
 POLY_FIELDS = ((7, {}), (13, {}), (16, {"reduction": 0x19}), (256, {}), (257, {}), (4096, {}))
 POLYS = 40  # random Poly pairs per field
+# (q, k, Field keywords, decoders or None for all) of the decoding-boundary
+# words: n - k even, where w decodes to b + c, and odd, where it fails
+BOUNDARY = (
+    (256, 223, {}, None),
+    (256, 222, {}, None),
+    (257, 200, {}, None),
+    (257, 199, {}, None),
+    (16, 6, {"reduction": 0x19, "alpha": 6}, None),
+    (16, 5, {"reduction": 0x19, "alpha": 6}, None),
+    (65536, 65503, {}, ("bm", "pgz", "interp")),
+    (65521, 65488, {}, ("bm", "pgz")),
+    (65521, 65489, {}, ("bm", "pgz")),
+)
+
+
+def boundary_words(code) -> tuple[list[int], ...]:
+    """(m, b, c, w, w') on the decoding boundary, after MacWilliams and
+    Sloane (ch. 10-11), seeded by the code: b = encode(m) for a random
+    message m; c the codeword of weight d = n - k + 1 on a random support
+    T with c_j = 1 / (x_j prod_(i in T, i != j) (x_j - x_i)), x_j =
+    alpha^j, and 0 off T; w = b + c on tau + 1 positions of T and b
+    elsewhere, and w' the same on tau positions.  w is tau + 1 from b and
+    n - k - tau from b + c: it decodes to b + c when n - k is even and to
+    no codeword when n - k is odd.  w' decodes to b."""
+    f, n, tau = code.field, code.n, code.tau
+    rng = random.Random(f"{f.q} {f.reduction} {f.alpha} {code.k}")
+    support = rng.sample(range(n), code.d)
+    c = [0] * n
+    for j in support:
+        denom = f.exp[j]
+        for i in support:
+            if i != j:
+                denom = f.mul(denom, f.sub(f.exp[j], f.exp[i]))
+        c[j] = f.inv(denom)
+    message = [rng.randrange(f.q) for _ in range(code.k)]
+    b = list(code.encode(message))
+
+    def plus_c(positions: list[int]) -> list[int]:
+        word = list(b)
+        for j in positions:
+            word[j] = f.add(word[j], c[j])
+        return word
+
+    return message, b, c, plus_c(support[:tau + 1]), plus_c(support[:tau])
 
 
 # ----- the corpus, run in a child process ----------------------------------------
@@ -124,6 +174,23 @@ def _emit(tree: Path) -> None:
                 res = exc
         return res, mc.count
 
+    def decoded(kind: str, key: list, code, word, decoder) -> None:
+        """One decode's record: its failure, or its outcome and message."""
+        res, muls = counted(lambda: decoder(code, word))
+        if isinstance(res, Exception):
+            out(kind, key, **failure(res), mul=muls)
+            return
+        with MulOpCounter() as mc:
+            message = list(res.message)
+        out(kind, key, **outcome(res), message=message, mul=muls, mul_message=mc.count)
+
+    def blocks_decoded(kind: str, key: list, code, blocks, name: str) -> None:
+        """One `decode_blocks` call's record: its messages and rows."""
+        with MulOpCounter() as mc:
+            messages, results, row_muls = decode_blocks(code, blocks, name)
+        rows = [failure(r) if isinstance(r, Exception) else outcome(r) for r in results]
+        out(kind, key, messages=plain(messages), rows=rows, mul=mc.count, mul_rows=row_muls)
+
     for q, k, kw, reps in CODES:
         code = RSCode(Field(q, **kw), k)
         f, n, tau = code.field, code.n, code.tau
@@ -140,14 +207,7 @@ def _emit(tree: Path) -> None:
 
         for i, (kind, word) in enumerate(words):
             for name, decoder in DECODERS.items():
-                res, muls = counted(lambda: decoder(code, word))
-                if isinstance(res, Exception):
-                    out("decode", label + [i, kind, name], **failure(res), mul=muls)
-                    continue
-                with MulOpCounter() as mc:
-                    message = list(res.message)
-                out("decode", label + [i, kind, name], **outcome(res), message=message,
-                    mul=muls, mul_message=mc.count)
+                decoded("decode", label + [i, kind, name], code, word, decoder)
 
             synd = code.syndromes(word)
             t, muls = counted(lambda: detect_error_count(code, synd))
@@ -170,11 +230,17 @@ def _emit(tree: Path) -> None:
         blocks = np.array([word for _, word in words], dtype=np.int64)
         for name in DECODERS:
             for lo in range(0, len(blocks), CHUNK):
-                with MulOpCounter() as mc:
-                    messages, results, row_muls = decode_blocks(code, blocks[lo:lo + CHUNK], name)
-                rows = [failure(r) if isinstance(r, Exception) else outcome(r) for r in results]
-                out("blocks", label + [lo, name], messages=plain(messages), rows=rows,
-                    mul=mc.count, mul_rows=row_muls)
+                blocks_decoded("blocks", label + [lo, name], code, blocks[lo:lo + CHUNK], name)
+
+    for q, k, kw, names in BOUNDARY:
+        code = RSCode(Field(q, **kw), k)
+        _, _, _, word, mirror = boundary_words(code)
+        label = [q, k, kw.get("reduction"), kw.get("alpha")]
+        for name in names or DECODERS:
+            decoded("boundary", label + ["w", name], code, word, DECODERS[name])
+            decoded("boundary", label + ["mirror", name], code, mirror, DECODERS[name])
+            blocks_decoded("boundary", label + ["blocks", name], code,
+                           np.array([word, mirror], dtype=np.int64), name)
 
     for q, kw in MATRIX_FIELDS:
         f = Field(q, **kw)

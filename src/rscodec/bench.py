@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import gf
 from .decode_interp import bm_decode, decode, decode_via_positions, pgz_decode
@@ -158,23 +158,17 @@ def run_sweep(cfg: TrialConfig) -> TrialReport:
 def report_to_json(report: TrialReport, include_wall: bool = False) -> str:
     """Newline-delimited JSON, one record per (decoder, t) row.
 
-    Means are printed with six fractional digits.  Wall time is excluded
+    A record holds the row's fields in `TrialRow`'s order; its floats, the
+    means, are printed with six fractional digits.  Wall time is excluded
     unless requested, keeping the default output byte-identical for a
     given seed.
     """
     out = []
     for row in report.rows:
-        parts = [
-            f'"decoder": {json.dumps(row.decoder)}',
-            f'"t": {row.t}',
-            f'"trials": {row.trials}',
-            f'"successes": {row.successes}',
-            f'"failures": {row.failures}',
-            f'"rank_checks_mean": {row.rank_checks_mean:.6f}',
-            f'"det_checks_mean": {row.det_checks_mean:.6f}',
-            f'"mul_count_mean": {row.mul_count_mean:.6f}',
-        ]
-        if include_wall:
-            parts.append(f'"wall_ns_mean": {row.wall_ns_mean:.6f}')
+        fields = asdict(row)
+        if not include_wall:
+            del fields["wall_ns_mean"]
+        parts = [f'"{name}": {value:.6f}' if isinstance(value, float)
+                 else f'"{name}": {json.dumps(value)}' for name, value in fields.items()]
         out.append("{" + ", ".join(parts) + "}\n")
     return "".join(out)

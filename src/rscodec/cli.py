@@ -156,9 +156,8 @@ def _parse_symbols(data: bytes, fmt: str, q: int, what: str) -> np.ndarray:
 
 
 def _render_payload(symbols: np.ndarray, fmt: str) -> bytes:
-    if fmt == "bin":
-        return symbols.astype(np.uint8).tobytes()
-    return (" ".join(map(str, symbols.tolist())) + "\n").encode() if symbols.size else b""
+    """The payload as one row; an empty payload is no row, not an empty line."""
+    return _render_blocks(symbols[None], fmt) if symbols.size else b""
 
 
 def _render_blocks(blocks: np.ndarray, fmt: str) -> bytes:

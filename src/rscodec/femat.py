@@ -41,9 +41,6 @@ class SolveResult:
     status: SolveStatus
     solution: tuple[int, ...] | None = None
 
-    def is_unique(self) -> bool:
-        return self.status is SolveStatus.UNIQUE
-
 
 def _eliminate(f: Field, a: np.ndarray, pivot_cols: int) -> tuple[list[int], int]:
     """Row-reduce `a` in place to echelon form, choosing pivots in the
@@ -115,12 +112,9 @@ class FeMat:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return int(self._a[ij])
 
-    def transpose(self) -> "FeMat":
-        return FeMat._wrap(self.field, self._a.T.copy())
-
     @property
     def T(self) -> "FeMat":
-        return self.transpose()
+        return FeMat._wrap(self.field, self._a.T.copy())
 
     def is_zero(self) -> bool:
         return not self._a.any()
@@ -205,8 +199,7 @@ def vandermonde(field: Field, points: Sequence[int], nrows: int) -> FeMat:
     """The nrows x len(points) matrix with entry (i, j) = points[j] ** i."""
     pts = field.asarray(points)
     out = np.zeros((nrows, pts.size), dtype=np.int64)
-    if nrows > 0:
-        out[0] = 1
-        for i in range(1, nrows):
-            out[i] = field.mul_arr(out[i - 1], pts)
+    out[:1] = 1
+    for i in range(1, nrows):
+        out[i] = field.mul_arr(out[i - 1], pts)
     return FeMat._wrap(field, out)

@@ -203,16 +203,7 @@ class MulOpCounter:
 
 
 def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    if x % 2 == 0:
-        return x == 2
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(x) == [x]
 
 
 def _prime_factors(x: int) -> list[int]:
@@ -312,10 +303,12 @@ class Field:
                     f"degree-{m} polynomial over GF(2)")
             self.reduction = reduction
         else:
+            # Checked before the primality test, whose trial division takes
+            # about sqrt(q) steps.
+            if q > PRIME_MAX:
+                raise ValueError(f"field size {q} exceeds the largest supported prime {PRIME_MAX}")
             if not _is_prime(q):
                 raise ValueError(f"field size {q} is neither prime nor a power of two")
-            if q > PRIME_MAX:
-                raise ValueError(f"prime field size {q} exceeds supported maximum {PRIME_MAX}")
             if reduction is not None:
                 raise ValueError("reduction polynomial only applies to GF(2^m)")
             self.kind = "prime"
@@ -392,10 +385,8 @@ class Field:
         return all(self._pow_slow(x, n // f) != 1 for f in _prime_factors(n))
 
     def _find_smallest_primitive(self) -> int:
-        for x in range(2, self.q):
-            if self._is_primitive_slow(x):
-                return x
-        raise AssertionError("multiplicative group of a finite field is cyclic")
+        # The multiplicative group is cyclic, so the search always finds one.
+        return next(x for x in range(2, self.q) if self._is_primitive_slow(x))
 
     # ----- scalar arithmetic ----------------------------------------------------
 

@@ -71,13 +71,7 @@ class Poly:
         return Poly(f, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_field(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = f.sub(out[i], c)
-        return Poly(f, out)
+        return self + Poly(other.field, [other.field.neg(c) for c in other.coeffs])
 
     def scale(self, s: int) -> "Poly":
         f = self.field

@@ -33,9 +33,9 @@ from .poly import Poly
 
 
 class RSCode:
-    """Parameters of RS(q, alpha, k) plus cached structure matrices."""
+    """Parameters of RS(q, alpha, k) and its maps."""
 
-    __slots__ = ("field", "k", "n", "d", "tau", "_gen", "_par", "_sizes", "_one", "_no_errors")
+    __slots__ = ("field", "k", "n", "d", "tau", "_sizes", "_one", "_no_errors")
 
     def __init__(self, field: Field, k: int):
         n = field.q - 1
@@ -46,8 +46,6 @@ class RSCode:
         self.n = n
         self.d = n - k + 1
         self.tau = (n - k) // 2
-        self._gen = None
-        self._par = None
         self._sizes = {"word": (n, "n"), "message": (k, "k"),
                        "syndrome vector": (n - k, "n - k")}
         # A codeword's locator and error, shared by every t = 0 outcome.
@@ -67,20 +65,16 @@ class RSCode:
             raise ValueError(f"{kind} length {len(values)} != {name} = {size}")
         return self.field.asarray(values)
 
-    # ----- structure matrices (lazy, observationally immutable) ------------------
+    # ----- structure matrices, formed on each call ---------------------------------
 
     def generator_matrix(self) -> FeMat:
         """k x n matrix with entry (i, j) = alpha^(i*j)."""
-        if self._gen is None:
-            self._gen = vandermonde(self.field, self.field.exp, self.k)
-        return self._gen
+        return vandermonde(self.field, self.field.exp, self.k)
 
     def parity_check_matrix(self) -> FeMat:
         """(n-k) x n matrix with entry (i, j) = alpha^((i+1)*j)."""
-        if self._par is None:
-            v = vandermonde(self.field, self.field.exp, self.n - self.k + 1)
-            self._par = FeMat._wrap(self.field, v._a[1:].copy())
-        return self._par
+        v = vandermonde(self.field, self.field.exp, self.n - self.k + 1)
+        return FeMat._wrap(self.field, v._a[1:].copy())
 
     # ----- the four maps ----------------------------------------------------------
 
@@ -120,12 +114,12 @@ class RSCode:
 
     def interpolate(self, word: Sequence[int]) -> Poly:
         """The unique polynomial of degree < n through (alpha^j, word[j])."""
-        coeffs = self.field.neg_arr(self.word_evaluations(word)[::-1])
-        return Poly(self.field, coeffs.tolist())
+        return Poly(self.field, self.low_from_evaluations(self.word_evaluations(word)).tolist())
 
     def low_from_evaluations(self, tail: np.ndarray) -> np.ndarray:
-        """f_0, ..., f_(k-1) as an int64 array, from the last k word
-        evaluations u(alpha^(n-k+1)), ..., u(alpha^n) along the last axis."""
+        """f_0, ..., f_(m-1) as an int64 array, from the last m word
+        evaluations u(alpha^(n-m+1)), ..., u(alpha^n) along the last axis:
+        m = k gives the message part, m = n the whole polynomial."""
         return self.field.neg_arr(tail[..., ::-1])
 
     def lagrange_basis(self, i: int) -> Poly:

@@ -7,6 +7,8 @@ import pytest
 
 from rscodec.bench import (
     TrialConfig,
+    TrialReport,
+    TrialRow,
     random_error,
     report_to_json,
     run_sweep,
@@ -113,6 +115,30 @@ def test_json_shape():
     with_wall = report_to_json(run_sweep(cfg), include_wall=True)
     for line in with_wall.splitlines():
         assert "wall_ns_mean" in json.loads(line)
+
+
+def test_json_bytes_pinned():
+    # The `compare` output contract, byte for byte: key order, ": " and ", "
+    # spacing, six fractional digits on the means, the JSON-quoted decoder.
+    report = TrialReport([
+        TrialRow("interp", 2, 5, 4, 1, 3.0, 0.0, 1234.5, 98765.4321),
+        TrialRow('a"b', 0, 1, 1, 0, 1 / 3, 2 / 3, 0.0, 1e-7),
+    ])
+    assert report_to_json(report) == (
+        '{"decoder": "interp", "t": 2, "trials": 5, "successes": 4, "failures": 1, '
+        '"rank_checks_mean": 3.000000, "det_checks_mean": 0.000000, '
+        '"mul_count_mean": 1234.500000}\n'
+        '{"decoder": "a\\"b", "t": 0, "trials": 1, "successes": 1, "failures": 0, '
+        '"rank_checks_mean": 0.333333, "det_checks_mean": 0.666667, '
+        '"mul_count_mean": 0.000000}\n')
+    assert report_to_json(report, include_wall=True) == (
+        '{"decoder": "interp", "t": 2, "trials": 5, "successes": 4, "failures": 1, '
+        '"rank_checks_mean": 3.000000, "det_checks_mean": 0.000000, '
+        '"mul_count_mean": 1234.500000, "wall_ns_mean": 98765.432100}\n'
+        '{"decoder": "a\\"b", "t": 0, "trials": 1, "successes": 1, "failures": 0, '
+        '"rank_checks_mean": 0.333333, "det_checks_mean": 0.666667, '
+        '"mul_count_mean": 0.000000, "wall_ns_mean": 0.000000}\n')
+    assert report_to_json(TrialReport([])) == ""
 
 
 def test_failures_counted_above_radius():

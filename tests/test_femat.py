@@ -102,10 +102,10 @@ def test_det_nonzero_iff_full_rank(q):
 def test_solve_fixtures(f7):
     # 3 * x = 6 over F_7 (the worked t=1 locator system, rhs = -s_1)
     res = FeMat(f7, [[3]]).solve([6])
-    assert res.is_unique() and res.solution == (2,)
+    assert res.status is SolveStatus.UNIQUE and res.solution == (2,)
     # the worked t=2 locator system
     res = FeMat(f7, [[0, 1], [1, 5]]).solve([2, 2])
-    assert res.is_unique() and res.solution == (6, 2)
+    assert res.status is SolveStatus.UNIQUE and res.solution == (6, 2)
     # inconsistent: 0 * x = 1
     res = FeMat(f7, [[0]]).solve([1])
     assert res.status is SolveStatus.NO_SOLUTION
@@ -115,7 +115,7 @@ def test_solve_fixtures(f7):
     assert res.status is SolveStatus.UNDERDETERMINED
     # overdetermined but consistent
     res = FeMat(f7, [[1], [2]]).solve([3, 6])
-    assert res.is_unique() and res.solution == (3,)
+    assert res.status is SolveStatus.UNIQUE and res.solution == (3,)
     # overdetermined and inconsistent
     res = FeMat(f7, [[1], [2]]).solve([3, 5])
     assert res.status is SolveStatus.NO_SOLUTION
@@ -146,7 +146,7 @@ def test_solve_resubstitution(q):
         m = FeMat(f, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
         b = [rng.randrange(q) for _ in range(n)]
         res = m.solve(b)
-        if res.is_unique():
+        if res.status is SolveStatus.UNIQUE:
             unique_seen += 1
             # check m @ x == b exactly
             got = (m @ FeMat(f, [[v] for v in res.solution])).to_lists()
@@ -167,7 +167,7 @@ def test_solve_known_solution_roundtrip(f7):
         x = [rng.randrange(7) for _ in range(n)]
         b = [row[0] for row in (m @ FeMat(f7, [[v] for v in x])).to_lists()]
         res = m.solve(b)
-        assert res.is_unique() and list(res.solution) == x
+        assert res.status is SolveStatus.UNIQUE and list(res.solution) == x
 
 
 def _solve_by_back_elimination(m, b):

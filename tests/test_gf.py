@@ -3,12 +3,14 @@
 import functools
 import random
 import re
+import time
 
 import numpy as np
 import pytest
 
 from rscodec import Field
 from rscodec import gf
+from rscodec.cli import EXIT_USAGE, main
 from rscodec.decode_interp import decode_blocks
 
 from .util import get_code, get_field, slow_gf2m_mul
@@ -69,6 +71,28 @@ def test_primality_and_primitivity_helpers_reject_small_values():
     assert gf._is_prime(2) and gf._is_prime(65521)
     assert not Field(7)._is_primitive_slow(0)
     assert Field(7)._is_primitive_slow(3)
+
+
+def test_huge_prime_size_rejected_before_trial_division(tmp_path, capsys):
+    # 2^61 - 1 is prime: trial division up to its square root would take
+    # minutes, so the size bound must be checked first.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds"):
+        Field(2 ** 61 - 1)
+    assert time.perf_counter() - start < 0.1
+    payload = tmp_path / "p"
+    payload.write_text("")
+    assert main(["encode", "--q", str(2 ** 61 - 1), "--k", "3",
+                 str(payload), str(tmp_path / "s")]) == EXIT_USAGE
+    assert "exceeds" in capsys.readouterr().err
+    # `_is_prime` against a sieve, at the small end and around PRIME_MAX
+    limit = 65541
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(range(p * p, limit, p)))
+    for x in [*range(5001), *range(65500, limit)]:
+        assert gf._is_prime(x) == bool(sieve[x]), x
 
 
 def test_field_repr():

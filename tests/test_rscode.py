@@ -58,11 +58,6 @@ def test_parity_matrix_fixture(rs72):
     assert rs72.parity_check_matrix().to_lists() == H_EX
 
 
-def test_matrices_cached(rs72):
-    assert rs72.generator_matrix() is rs72.generator_matrix()
-    assert rs72.parity_check_matrix() is rs72.parity_check_matrix()
-
-
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17])
 def test_generator_times_parity_transpose_is_zero_all_k(q):
     f = get_field(q)

@@ -12,8 +12,9 @@ verified before it is returned.  `DECODERS` names the pairs; the CLI
 decodes with `bm` unless told otherwise.
 """
 
-from .bench import DECODERS, TrialConfig, TrialReport, TrialRow, report_to_json, run_sweep
+from .bench import TrialConfig, TrialReport, TrialRow, report_to_json, run_sweep
 from .decode_interp import (
+    DECODERS,
     DecodeOutcome,
     DecodeTrace,
     berlekamp_massey,

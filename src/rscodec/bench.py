@@ -25,17 +25,9 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import gf
-from .decode_interp import bm_decode, decode, decode_via_positions, pgz_decode
+from .decode_interp import DECODERS, _pipeline
 from .exceptions import DecodeFailure
 from .rscode import RSCode
-
-# The one decoder registry, shared with the CLI's `decode` and `compare`.
-DECODERS = {
-    "interp": decode,
-    "interp-pos": decode_via_positions,
-    "pgz": pgz_decode,
-    "bm": bm_decode,
-}
 
 
 @dataclass(frozen=True)
@@ -97,8 +89,7 @@ def _validate(cfg: TrialConfig) -> None:
     if not cfg.decoders:
         raise ValueError("config.decoders must be nonempty")
     for name in cfg.decoders:
-        if name not in DECODERS:
-            raise ValueError(f"unknown decoder {name!r}, expected one of {sorted(DECODERS)}")
+        _pipeline(name)  # raises the unknown-decoder ValueError
 
 
 def run_sweep(cfg: TrialConfig) -> TrialReport:

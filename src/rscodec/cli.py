@@ -46,8 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bench import DECODERS, TrialConfig, random_error, report_to_json, run_sweep
-from .decode_interp import decode, decode_blocks  # noqa: F401  decode: kept as cli.decode
+from .bench import TrialConfig, random_error, report_to_json, run_sweep
+from .decode_interp import DECODERS, decode, decode_blocks  # noqa: F401  decode: kept as cli.decode
 from .exceptions import DecodeFailure
 from .gf import Field
 from .rscode import RSCode

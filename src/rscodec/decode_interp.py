@@ -76,12 +76,12 @@ interpolates the whole word.  Both tails take the word array and its
 evaluations and return a codeword array, which leaves an error of weight
 at most t: verify checks membership on the error word's syndromes.
 
-The decoders are the pairs of `_pipeline`: `decode` (rank scan,
-recover), `decode_via_positions` (rank scan, positions), `pgz_decode`
-(determinant scan, positions) and `bm_decode` (Berlekamp-Massey,
-positions).  As every answer is re-verified, inputs beyond the
-correction radius either raise DecodeFailure or decode to some codeword
-genuinely within distance tau.
+The decoders are the pairs of `_pipeline`, named in the one registry
+`DECODERS`: `decode` (rank scan, recover), `decode_via_positions` (rank
+scan, positions), `pgz_decode` (determinant scan, positions) and
+`bm_decode` (Berlekamp-Massey, positions).  As every answer is
+re-verified, inputs beyond the correction radius either raise
+DecodeFailure or decode to some codeword genuinely within distance tau.
 
 One word (`_run`) evaluates its n - k syndromes by `eval_at_powers`, and
 its message only when asked, unless its tail already holds it.  A chunk
@@ -153,7 +153,7 @@ class DecodeTrace:
 
     rank_checks: int = 0
     det_checks: int = 0
-    interp_degree: int | float | None = None
+    interp_degree: int | None = None
     high_quotient: Poly | None = _FormedOnRead()  # default None
 
 
@@ -223,9 +223,11 @@ def _run(code: RSCode, word: Sequence[int], count_stage, tail) -> DecodeOutcome:
     return _decode_row(code, word, synd, None, count_stage, tail)
 
 
-def decode_blocks(code: RSCode, blocks: np.ndarray, name: str
+def decode_blocks(code: RSCode, blocks: Sequence[Sequence[int]] | np.ndarray, name: str
                   ) -> tuple[np.ndarray, list[DecodeOutcome | DecodeFailure], list[int]]:
-    """Decode the rows of a (B, n) array with the stages of decoder `name`.
+    """Decode B words with the stages of decoder `name`: the rows of a
+    (B, n) array or of a nested list or tuple, checked as
+    `RSCode.encode_blocks` checks its messages (`[]` is zero rows).
 
     One `eval_at_powers` call evaluates every row at alpha^1, ..., alpha^n;
     each row then runs the pipeline of `_run` on its slice of it.  Returns
@@ -235,11 +237,8 @@ def decode_blocks(code: RSCode, blocks: np.ndarray, name: str
     once, in no row.
     """
     count_stage, tail = _pipeline(name)
-    f = code.field
-    words = f.asarray(blocks)
-    if words.ndim != 2 or words.shape[1] != code.n:
-        raise ValueError(f"blocks shape {words.shape} is not (B, n = {code.n})")
-    evals = f.eval_at_powers(words, first=1, count=code.n)
+    words = code._checked_rows(blocks)
+    evals = code.field.eval_at_powers(words, first=1, count=code.n)
     messages = code.low_from_evaluations(evals[:, code.n - code.k:])
     results: list[DecodeOutcome | DecodeFailure] = []
     mul_counts = []
@@ -498,15 +497,24 @@ def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
         locator = locator.scale(code.field.inv(locator.coeffs[-1]))
     f, n, k = code.field, code.n, code.k
     evals = f.eval_at_powers(code._checked(word), first=1, count=n)
-    quot = _recovered_quotient(code, evals[:n - k], locator, DecodeTrace())
+    quot = _recovered_quotient(code, evals[:n - k], locator)
     return Poly(f, f.sub_arr(code.low_from_evaluations(evals[n - k:]), quot[:k]).tolist())
 
 
 def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
              locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray | None]:
+    """The recover tail: `_recovered_quotient`, then the trace's
+    interp_degree and high_quotient, filled here once the quotient has
+    passed its checks, then the codeword by one of two routes."""
     f = code.field
     n, k = code.n, code.k
-    quot = _recovered_quotient(code, evals[:n - k], locator, trace)
+    synd = evals[:n - k]
+    quot = _recovered_quotient(code, synd, locator)
+    # deg f_u = n - 1 - j for the first nonzero syndrome s_j = u(alpha^(j+1));
+    # the tail runs only on a word that is not a codeword.
+    trace.interp_degree = n - 1 - int(np.flatnonzero(synd)[0])
+    trace.high_quotient = functools.partial(_high_quotient, f, locator,
+                                            synd[:locator.degree].tolist())
     if len(evals) < n and (f.eval_products(n, int(np.count_nonzero(quot)))
                            > f.eval_products(k, int(np.count_nonzero(word)))
                            + f.eval_products(n, k)):
@@ -522,12 +530,11 @@ def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
     return f.sub_arr(word, f.eval_at_powers(quot, first=0, count=n)), None
 
 
-def _recovered_quotient(code: RSCode, synd: np.ndarray, locator: Poly,
-                        trace: DecodeTrace) -> np.ndarray:
+def _recovered_quotient(code: RSCode, synd: np.ndarray, locator: Poly) -> np.ndarray:
     """The exact quotient Q = (x^n - 1) mu / lambda of the monic locator,
     from the word's n - k syndromes `synd`, so that f_c = f_u - Q; raises
-    InexactDivision or DegreeTooHigh, then fills the trace's interp_* and
-    high_* values.
+    InexactDivision or DegreeTooHigh.  It fills no trace: `_recover` fills
+    the pipeline's, and `recover_codeword_polynomial` keeps none.
 
     For the monic locator lambda, lambda * f_u = lambda * f_c + (x^n - 1)
     * mu with deg(lambda * f_c) < k + t <= n, so mu is the coefficients of
@@ -550,13 +557,6 @@ def _recovered_quotient(code: RSCode, synd: np.ndarray, locator: Poly,
     if above.size:
         raise DegreeTooHigh(f"recovered polynomial has degree {k + int(above[-1])}, "
                             f"expected < k = {k}")
-    # deg f_u = n - 1 - j for the first nonzero evaluation u(alpha^(j+1)),
-    # a syndrome, as the pipeline's tail runs only on a word that is not a
-    # codeword (-inf only for a codeword that `recover_codeword_polynomial`
-    # is given, which discards the trace).
-    nonzero = np.flatnonzero(synd)
-    trace.interp_degree = n - 1 - int(nonzero[0]) if nonzero.size else -math.inf
-    trace.high_quotient = functools.partial(_high_quotient, f, locator, synd[:t].tolist())
     return quot
 
 
@@ -733,10 +733,20 @@ def _verified_outcome(code: RSCode, word: np.ndarray, synd: np.ndarray,
                          code, message)
 
 
+# The one decoder registry, read by `bench`, the CLI's `decode` and
+# `compare`, and the package.
+DECODERS = {
+    "interp": decode,
+    "interp-pos": decode_via_positions,
+    "pgz": pgz_decode,
+    "bm": bm_decode,
+}
+
+
 def _pipeline(name: str) -> tuple:
-    """The (count stage, tail) pair of the decoder `name` of `DECODERS`.
-    The stages are looked up on each call, so a wrapped stage is the one
-    that runs."""
+    """The (count stage, tail) pair of the decoder `name` of `DECODERS`,
+    or the one unknown-decoder ValueError.  The stages are looked up on
+    each call, so a wrapped stage is the one that runs."""
     pipelines = {
         "interp": (_rank_scan, _recover),
         "interp-pos": (_rank_scan, _error_positions_and_values),

@@ -12,11 +12,11 @@ product of two nonzero entries right of its pivot, and the inverse.  The
 elimination returns its pivot columns, off which rank, solvability and
 the PGZ scan's nonsingular Hankel matrices are read, and the sign of its
 row swaps, which only `FeMat.det` reads: it multiplies the sign by the
-diagonal.  A unique solution is back-substituted on Python ints, one
-product per nonzero term.  Solving reports its outcome as a value
-(unique / no solution / underdetermined) rather than by raising, because
-singular systems are an expected, meaningful result for the decoders
-built on top.
+diagonal.  A unique solution is back-substituted with `Field.mul` and
+`Field.sub`, which count one product per term whose two factors are
+nonzero.  Solving reports its outcome as a value (unique / no solution /
+underdetermined) rather than by raising, because singular systems are
+an expected, meaningful result for the decoders built on top.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import Field, add_mul_ops
+from .gf import Field
 
 
 class SolveStatus(Enum):
@@ -150,28 +150,14 @@ class FeMat:
         if rank < ncols:
             return SolveResult(SolveStatus.UNDERDETERMINED)
         # Back-substitution on rows 0, ..., ncols - 1, divided right of their
-        # pivots: x_c = y_c - sum_(j>c) U_cj x_j, in the log domain, counting
-        # one product per nonzero U_cj x_j.  The pivots are not read.
-        exp2, log = f._exp2, f.log
-        prime, p = f.kind == "prime", f.p
+        # pivots: x_c = y_c - sum_(j>c) U_cj x_j.  The pivots are not read.
         u = aug[:ncols].tolist()
         x = [0] * ncols
-        known: list[tuple[int, int]] = []  # (j, log x_j) for each nonzero x_j, j > c
-        muls = 0
         for c in range(ncols - 1, -1, -1):
-            row = u[c]
-            acc = row[ncols]
-            for j, xl in known:
-                if row[j]:
-                    muls += 1
-                    v = exp2[log[row[j]] + xl]
-                    acc = acc - v if prime else acc ^ v
-            if prime:
-                acc %= p
+            acc = u[c][ncols]
+            for j in range(c + 1, ncols):
+                acc = f.sub(acc, f.mul(u[c][j], x[j]))
             x[c] = acc
-            if acc:
-                known.append((c, log[acc]))
-        add_mul_ops(muls)
         return SolveResult(SolveStatus.UNIQUE, tuple(x))
 
     def __matmul__(self, other: "FeMat") -> "FeMat":

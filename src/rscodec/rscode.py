@@ -65,6 +65,17 @@ class RSCode:
             raise ValueError(f"{kind} length {len(values)} != {name} = {size}")
         return self.field.asarray(values)
 
+    def _checked_rows(self, rows: Sequence[Sequence[int]] | np.ndarray,
+                      kind: str = "word") -> np.ndarray:
+        """B words (kind "word") or messages ("message"), the rows of a 2-D
+        array or of a nested list or tuple, as a (B, n) or (B, k) int64
+        array, after one element check; `[]` is zero rows."""
+        size, name = self._sizes[kind]
+        rows = self.field.asarray(np.asarray(rows))
+        if rows.shape[1:] != (size,) and rows.shape != (0,):
+            raise ValueError(f"{kind} rows shape {rows.shape} is not (B, {name} = {size})")
+        return rows.reshape(-1, size)
+
     # ----- structure matrices, formed on each call ---------------------------------
 
     def generator_matrix(self) -> FeMat:
@@ -84,14 +95,9 @@ class RSCode:
         return tuple(self.field.eval_at_powers(msg, first=0, count=self.n).tolist())
 
     def encode_blocks(self, messages: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-        """Encode B messages, the rows of a (B, k) array, into a (B, n) array."""
-        if isinstance(messages, np.ndarray):
-            if messages.ndim != 2 or messages.shape[1] != self.k:
-                raise ValueError(f"messages shape {messages.shape} is not (B, k = {self.k})")
-            msgs = self.field.asarray(messages)
-        else:
-            msgs = np.array([self._checked(m, "message") for m in messages],
-                            dtype=np.int64).reshape(-1, self.k)
+        """Encode B messages, the rows of a (B, k) array or of a nested list
+        or tuple (`[]` is zero rows), into a (B, n) array."""
+        msgs = self._checked_rows(messages, "message")
         return self.field.eval_at_powers(msgs, first=0, count=self.n)
 
     def word_evaluations(self, word: Sequence[int]) -> np.ndarray:

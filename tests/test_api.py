@@ -65,6 +65,21 @@ def _attribute_reads() -> list[tuple[str, tuple[str, str] | None]]:
     return reads
 
 
+def test_benchmark_bindings():
+    # The benchmark reads and wraps these names; they are one registry.
+    import rscodec.bench
+    import rscodec.cli
+    import rscodec.decode_interp
+
+    assert rscodec.cli.decode is rscodec.decode
+    for registry in (rscodec.cli.CLI_DECODERS, rscodec.bench.DECODERS,
+                     rscodec.decode_interp.DECODERS):
+        assert registry is rscodec.DECODERS
+    di = rscodec.decode_interp
+    assert rscodec.DECODERS == {"interp": di.decode, "interp-pos": di.decode_via_positions,
+                                "pgz": di.pgz_decode, "bm": di.bm_decode}  # functions: `is`
+
+
 def test_all_is_the_readme_list():
     bare, _ = _documented()
     assert bare == set(rscodec.__all__)

@@ -457,6 +457,14 @@ def test_recover_fixtures(rs72):
     assert gc == Poly(f7, (3, 4))
 
 
+def test_recover_of_a_codeword_is_its_message(rs72):
+    # All syndromes vanish, so the quotient is zero whatever the locator.
+    codeword = rs72.encode((5, 6))
+    for locator in (Poly(rs72.field, (2, 1)), Poly(rs72.field, (3, 1))):
+        got = recover_codeword_polynomial(rs72, codeword, locator, 1)
+        assert got == Poly(rs72.field, (5, 6))
+
+
 def test_recover_inexact_division_detected(rs72):
     # x^2 is monic of degree 2 but does not divide the wrapped high part.
     with pytest.raises(InexactDivision):
@@ -1165,3 +1173,34 @@ def test_decode_blocks_matches_one_word_decoders(q, k, kw):
         decode_blocks(code, blocks, "nope")
     messages, results, _ = decode_blocks(code, blocks[:0], "interp")
     assert messages.shape == (0, k) and results == []
+
+
+def test_blocks_as_nested_lists():
+    # A nested list or tuple of words decodes as its int64 array does, and
+    # both batch maps check their rows alike.
+    code = get_code(7, 2, alpha=5)
+    rng = random.Random(11)
+    words = [corrupt(rng, code, code.encode([rng.randrange(7) for _ in range(2)]), t)
+             for t in (0, 1, 2, 3, 1, 2)]
+    assert decode_blocks(code, [[4, 0, 1, 6, 3, 2]], "bm")[0].tolist() == [[5, 6]]
+    for name in DECODERS:
+        want_messages, want_rows, want_muls = decode_blocks(code, np.array(words), name)
+        for blocks in ([list(w) for w in words], tuple(words)):
+            messages, rows, muls = decode_blocks(code, blocks, name)
+            assert messages.tolist() == want_messages.tolist()
+            assert muls == want_muls
+            for got, want in zip(rows, want_rows, strict=True):
+                if isinstance(want, DecodeFailure):
+                    assert (type(got), str(got), got.trace) == (type(want), str(want), want.trace)
+                else:
+                    assert got == want
+    assert code.encode_blocks([]).shape == (0, code.n)
+    messages, rows, muls = decode_blocks(code, [], "bm")
+    assert messages.shape == (0, code.k) and rows == muls == []
+    for bad_word, bad_message in (([[1, 2, 3, 4, 5, 6], [1, 2]], [[1, 2], [1]]),
+                                  ([[1, 2, 3, 4, 5]], [[1, 2, 3]]),
+                                  ([[1, 2, 3, 4, 5, 7]], [[1, 7]])):
+        with pytest.raises(ValueError):
+            decode_blocks(code, bad_word, "bm")
+        with pytest.raises(ValueError):
+            code.encode_blocks(bad_message)

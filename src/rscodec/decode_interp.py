@@ -23,10 +23,12 @@ can raise, and raises its failures without a trace, as the tail does:
 - the paper's rank scan (`_rank_count`, the kernel of the public
   `detect_error_count`: the smallest t whose (n-k-t) x t Hankel matrix
   has the rank of its (n-k-t) x (t+1) augmentation; t + 1 rank checks,
-  answered by one incremental elimination: the candidates' matrices are
-  nested, each adding a column and dropping a row, so one reduced basis
-  of the failed candidates' columns, cut to the shrinking row window,
-  decides each check with one reduction of the new column), then the
+  or tau + 1 when none fits, answered by one right-looking elimination:
+  the candidates' matrices are nested, each adding a column and dropping
+  a row, so each failed candidate's remainder is cleared from every later
+  column at once, and candidate t checks that its column is zero on its
+  row window; the later columns are formed in panels, onto which the
+  recorded remainders are replayed), then the
   t x t Hankel system [s_(i+j)] lambda = -(s_t, ..., s_(2t-1))
   (`solve_locator`), solved not by a second elimination but as the
   shift-register synthesis on s_0, ..., s_(2t-1) that `bm` runs;
@@ -302,48 +304,86 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
 def _rank_count(code: RSCode, s: np.ndarray) -> int | None:
     """`detect_error_count` on the int64 syndrome array.
 
-    One incremental elimination answers every candidate.  It keeps the
-    failed candidates' columns, cut to R_t, as a basis in reduced form:
-    each row's pivot is its first nonzero coordinate, every other row is
-    zero there, and rows are not normalized.  Cutting the window from
-    R_(t-1) to R_t drops the row whose pivot was R_t, which is zero on the
-    first R_t coordinates.  Candidate t subtracts (v_t[p] / b[p]) b for
-    every row b with pivot p and is consistent iff nothing is left; a
-    remainder joins the basis once its pivot column is cleared from the
-    other rows.
+    One right-looking elimination answers every candidate.  Each failed
+    candidate j leaves a remainder b_j, its column v_j less multiples of
+    the earlier remainders, with pivot p_j, its first nonzero coordinate
+    on R_j; b_j is zero at every earlier pivot inside R_j, and it is
+    cleared from each later column v_l that still holds p_j (p_j < R_l)
+    at once: v_l -= v_l[p_j] (b_j / b_j[p_j]), one broadcast gather for
+    all of them (`_clear`).  So when candidate t comes up, its column is
+    v_t less its part in the span of the remainders whose pivots lie in
+    R_t, which is the span of v_0, ..., v_(t-1) cut to R_t (a remainder
+    whose pivot lies past R_t is zero there), and the column is zero on
+    R_t iff t is consistent.  Each remainder is recorded once, as the logs
+    of b_j / b_j[p_j] from p_j on: one product per nonzero coordinate.
+
+    The later columns are formed in panels of max(t + 1, `_PANEL_TERMS`
+    // (n - k)) candidates from the panel's first candidate t, each a
+    (rows, R_t) copy of a Hankel view of the zero-padded syndromes.  A
+    failure clears its remainder from the rest of its panel only; a new
+    panel has every recorded remainder cleared from it, in order, by the
+    same `_clear`.  A low t then clears no more than a panel of columns
+    it never checks, and as a panel holds at least as many candidates as
+    there are remainders to replay onto it, a high t replays at most one
+    remainder per candidate.  The products counted are the nonzero terms
+    formed: one per nonzero coordinate of each recorded remainder, and
+    those of every `_clear`, padding past a column's window included.
+    Candidates are checked in order and the scan stops at the first
+    consistent one, so `_rank_scan` counts t + 1 rank checks, or tau + 1
+    when none is consistent.
     """
     f = code.field
-    basis = np.zeros((code.tau, len(s)), dtype=np.int64)  # rows [0, len(pivots))
-    pivots: list[int] = []
-    inv_pivots = np.zeros(code.tau, dtype=np.int64)  # 1 / b[p], row by row
-    for t in range(code.tau + 1):
-        width = len(s) - t
-        rank = len(pivots)
-        if width in pivots:
-            i, rank = pivots.index(width), rank - 1
-            basis[i], inv_pivots[i], pivots[i] = basis[rank], inv_pivots[rank], pivots[rank]
-            pivots.pop()
-        rows = basis[:rank, :width]
-        left = s[t:]
-        if rank:
-            coef = f.mul_arr(left[pivots], inv_pivots[:rank])
-            left = f.sub_arr(left, f.sum_arr(f.mul_arr(coef[:, None], rows), axis=0))
-        nonzero = left.nonzero()[0]
+    m, tau = len(s), code.tau
+    exp2, log = f._exp2_np, f._log_np
+    records: list[tuple[int, np.ndarray]] = []  # (p_j, log(b_j[p_j:] / b_j[p_j]))
+    end = 0
+    for t in range(tau + 1):
+        if t == end:
+            base, end = t, min(tau + 1, t + max(t + 1, _PANEL_TERMS // m))
+            rows, width = end - base, m - base
+            pad = np.zeros(width + rows, dtype=np.int64)
+            pad[:width] = s[base:]
+            # Row i is v_(base+i), zero past its window: a Hankel view, copied.
+            panel = np.ndarray((rows, width), np.int64, pad, 0, (8, 8)).copy()
+            for p, b_logs in records:
+                if m - p > base:
+                    _clear(f, panel[:m - p - base], p, b_logs)
+        col = panel[t - base, :m - t]
+        nonzero = col.nonzero()[0]
         if not nonzero.size:
             return t
-        if t == code.tau:
+        if t == tau:
             break
         p = int(nonzero[0])
-        # A quotient a / b is one product a * (1 / b), counted by `mul_arr`
-        # when a is nonzero, as `Field.div` counts it; 1 / b is a lookup.
-        inv = f._exp2[f.q - 1 - f.log[int(left[p])]]
-        if rank:
-            scale = f.mul_arr(rows[:, p], inv)
-            rows[:, p:] = f.sub_arr(rows[:, p:], f.mul_arr(scale[:, None], left[p:]))
-        basis[rank, :width] = left
-        inv_pivots[rank] = inv
-        pivots.append(p)
+        # b / b[p] is one product per nonzero b_i by 1 / b[p] (a lookup); a
+        # zero's sentinel log stays in exp2's zero tail.
+        b_logs = log[exp2[log[col[p:]] + (f.q - 1 - f.log[col[p]])]]
+        add_mul_ops(nonzero.size)
+        records.append((p, b_logs))
+        stop = min(end, m - p) - base  # the later columns of the panel holding p
+        if stop > t - base + 1:
+            _clear(f, panel[t - base + 1:stop], p, b_logs)
     return None
+
+
+# Terms of one rank-scan panel, (rows) x (n - k).  A `_clear` call costs a
+# fixed 5 us or so of numpy calls, and 2.7 ns a term in GF(256) or 12.7 ns
+# in GF(257) (2 vCPU, Python 3.11, numpy 2.4): as much as forming 1 850 or
+# 390 terms.  With panels of about that many terms, the columns that a low
+# t clears but never checks cost about one more call, and each replay onto
+# a new panel costs one call; 1024 lies between the two fields' figures.
+_PANEL_TERMS = 1024
+
+
+def _clear(f: Field, cols: np.ndarray, p: int, b_logs: np.ndarray) -> None:
+    """Subtract cols[i, p] b from every row i of `cols`, in place, for the
+    normalized remainder b (b[p] = 1) whose coordinates from p on have
+    logs `b_logs`, as far as `cols` reaches; counts the nonzero terms
+    formed."""
+    width = min(cols.shape[1] - p, len(b_logs))
+    terms = f._exp2_np[f._log_np[cols[:, p]][:, None] + b_logs[:width]]
+    add_mul_ops(int(np.count_nonzero(terms)))
+    cols[:, p:p + width] = f.sub_arr(cols[:, p:p + width], terms)
 
 
 def _rank_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, Poly]:

@@ -460,8 +460,9 @@ class Field:
         tuples that `array.array("q")` packs (it takes what
         `operator.index` takes, within int64), are range-checked in one
         numpy pass; anything else goes through `check` one element at a
-        time, an array of any shape element by element (`flat`) into an
-        array of its shape.
+        time, an array of any shape element by element into an array of
+        its shape: an integer array's elements as Python ints, so a bad
+        one is named as an int, any other's (`flat`) as they are.
         """
         if isinstance(values, np.ndarray):
             a = values if values.dtype.kind in "iu" else None
@@ -478,7 +479,9 @@ class Field:
             if a.size == 0 or a.view(np.uint64).max() < self.q:
                 return a
         if isinstance(values, np.ndarray):  # of any shape, kept
-            return np.array([self.check(x) for x in values.flat],
+            # An integer array's elements are checked, and named, as ints.
+            elements = values.flat if a is None else values.ravel().tolist()
+            return np.array([self.check(x) for x in elements],
                             dtype=np.int64).reshape(values.shape)
         return np.array([self.check(x) for x in values], dtype=np.int64)
 

@@ -130,7 +130,7 @@ def test_solve_rhs_values_checked(f7):
     # The rhs is validated as `Field.check` validates one element: the
     # first value it rejects is named.
     for b, bad in (([1, 7], "7"), ([1, -1], "-1"), ([1.5, 2], "1.5"),
-                   (np.array([1, 9]), repr(np.int64(9)))):
+                   (np.array([1, 9]), "9")):
         with pytest.raises(ValueError) as info:
             FeMat(f7, [[1, 2], [3, 4]]).solve(b)
         assert str(info.value) == f"{bad} is not an element of GF(7)"

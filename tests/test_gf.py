@@ -599,7 +599,7 @@ def test_asarray_validates_range(f7):
     assert f7.asarray(grid[None]).shape == (1, 2, 2)
     for bad, name in ((np.array([[1, 2], [3, 7]], dtype=object), "7"),
                       (np.array([[1, 9], [3, 7]], dtype=object), "9"),
-                      (np.array([[1, 2], [3, -1]]), r"(np\.int64\()?-1\)?"),
+                      (np.array([[1, 2], [3, -1]]), "-1"),
                       (np.array([[1.0, 2.0]]), r"(np\.float64\()?1\.0\)?")):
         with pytest.raises(ValueError, match=rf"^{name} is not an element of GF\(7\)$"):
             f7.asarray(bad)

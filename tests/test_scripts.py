@@ -10,14 +10,21 @@ docstrings of modules, classes and functions are not code.
 
 `scripts/line_trace.py`: a statement no test runs is listed, with its
 path and line, and a docstring never is.
+
+`scripts/bench_pairs.py`: a run counts only if its last line reports every
+check correct; each metric's summary gives both medians and quartiles, the
+pairs won in the metric's direction, and whether the median gap exceeds
+REF's IQR.
 """
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+from scripts.bench_pairs import end_to_end_metrics, result_values, summarize
 from scripts.code_lines import code_lines
 from scripts.differential import _compare
 
@@ -112,3 +119,31 @@ def test_line_trace_lists_the_statements_no_test_runs(tmp_path):
                           f"{Path('pkg', 'mod.py')}:12: return 3",
                           f"{Path('pkg', 'never.py')}:2: X = 1",
                           "3 statements not run"]
+
+
+def _result_line(correct, p50, kib_s):
+    metrics = {"decode_block_p50_ms": {"value": p50, "unit": "ms"},
+               "decode_kib_s": {"value": kib_s, "unit": "KiB/s"}}
+    return json.dumps({"correct": correct, "attempted": 9, "failed": 0, "metrics": metrics})
+
+
+def test_bench_pairs_summary_of_canned_runs():
+    assert ("decode_block_p50_ms", "lower") in end_to_end_metrics()
+    assert result_values("") is None
+    assert result_values("detail line\nnot json") is None
+    assert result_values('{"report": {}}\n' + _result_line(False, 0.4, 50.0)) is None
+    ref_lines = [_result_line(True, p50, kib) for p50, kib in
+                 ((0.44, 50.0), (0.45, 49.0), (0.46, 52.0), (0.45, 51.0), (0.43, 48.0))]
+    new_lines = [_result_line(True, p50, kib) for p50, kib in
+                 ((0.38, 50.0), (0.39, 49.5), (0.37, 51.0), (0.46, 51.0), (0.39, 47.0))]
+    pairs = [(result_values("a detail line\n" + r), result_values(c))
+             for r, c in zip(ref_lines, new_lines)]
+    assert pairs[0] == ({"decode_block_p50_ms": 0.44, "decode_kib_s": 50.0},
+                        {"decode_block_p50_ms": 0.38, "decode_kib_s": 50.0})
+    lines = summarize(pairs, [("decode_block_p50_ms", "lower"), ("decode_kib_s", "higher")])
+    # p50: REF's quartiles of (0.43, 0.44, 0.45, 0.45, 0.46) are 0.435 and
+    # 0.455; four of five pairs won, a tie or a loss is no win
+    assert lines[0] == ("decode_block_p50_ms (lower is better): ref 0.45 [0.435, 0.455]  "
+                        "new 0.39 [0.375, 0.425]  -13.3%  wins 4/5  gap > ref IQR: yes")
+    assert lines[1] == ("decode_kib_s (higher is better): ref 50 [48.5, 51.5]  "
+                        "new 50 [48.25, 51]  +0.0%  wins 1/5  gap > ref IQR: no")

@@ -2,11 +2,12 @@
 
 Write the received word as u = c + e with c a codeword and e of Hamming
 weight t.  `_run` validates the word once, into an int64 array
-(`RSCode._checked`); every later stage works on that array and on the
-int64 array of its evaluations, and the outcome's tuples are made once,
-at the end.  Of the stages only `solve_locator`, a public name, checks
-its syndromes again.  Every decoder runs one flow on the n - k syndromes
-s_r = u(alpha^(r+1)):
+(`RSCode._checked`); every later stage works on that array, the int64
+array of its evaluations and the locator's int64 coefficient array, and
+the DecodeOutcome forms its tuples, its locator Poly and its message from
+them on first read (`_outcome`).  Of the stages only `solve_locator`, a
+public name, checks its syndromes again.  Every decoder runs one flow on
+the n - k syndromes s_r = u(alpha^(r+1)):
 
 1. count stage: find t <= tau and the monic error locator lambda, whose
    roots are alpha^i for the error positions i, or raise TooManyErrors or
@@ -15,7 +16,11 @@ s_r = u(alpha^(r+1)):
 3. verify codeword membership (the error word - codeword has the word's
    syndromes) and distance exactly t.
 
-Count stages, each (code, syndromes, trace) -> (t, locator).  `_decode_row`
+Count stages, each (code, syndromes, trace) -> (t, lambda array): lambda
+is the monic locator's int64 coefficients, lowest degree first, and for
+t = 0 the one shared read-only [1].  The two paper scans take it from
+the public `solve_locator`, whose Poly they turn back into the array;
+`bm` takes it from `_massey`, as `solve_locator` does.  `_decode_row`
 makes the row's one DecodeTrace; a stage sets its counter on it before it
 can raise, and raises its failures without a trace, as the tail does:
 `_decode_row` alone attaches the trace to every DecodeFailure of the row.
@@ -74,9 +79,10 @@ those instead, and the codeword is that encoding.  Positions
 lambda(alpha^i) = 0 straight off a Chien search and the error values from
 Forney's formula, which gives the solution of the t x t value system
 without solving it, in one array pass over all t roots; it never
-interpolates the whole word.  Both tails take the word array and its
-evaluations and return a codeword array, which leaves an error of weight
-at most t: verify checks membership on the error word's syndromes.
+interpolates the whole word.  Both tails take the word array, its
+evaluations and lambda, and return a codeword array, which leaves an
+error of weight at most t: verify (`_verified_outcome`) checks
+membership on the error word's syndromes.
 
 The decoders are the pairs of `_pipeline`, named in the one registry
 `DECODERS`: `decode` (rank scan, recover), `decode_via_positions` (rank
@@ -94,15 +100,16 @@ are the low part low(u) = (f_0, ..., f_(k-1)) of its interpolation
 polynomial.  Each row then runs the same per-row body (`_decode_row`) as
 `_run`, and its message comes from that evaluation: low(u) itself when
 t = 0, low(u) - low(Q) after the recover tail, or low(u) - low(e) after
-the positions tail, low(e) being k t products on the t-sparse error.  A
-failed row keeps low(u) as its best-effort estimate.
+the positions tail, low(e) being k t products on the t-sparse error;
+verify writes it over the row's low(u).  A failed row keeps low(u) as
+its best-effort estimate.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -159,31 +166,24 @@ class DecodeTrace:
     high_quotient: Poly | None = _FormedOnRead()  # default None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DecodeOutcome:
     """A successful decode: the nearest codeword and how it was found.
 
-    `message` is the k message symbols of `codeword`, the coefficients of
-    its polynomial of degree < k.  `decode_blocks` holds it already, as
-    does the recover tail where it took the word's low part; otherwise it
-    is computed on first access, from k evaluations of `codeword`.
+    `codeword`, `error`, `locator` and `message` are formed on first read
+    from the pipeline's int64 arrays (`_outcome`).  `message` is the k
+    message symbols of `codeword`, the coefficients of its polynomial of
+    degree < k.  `decode_blocks` holds them already, as does the recover
+    tail where it took the word's low part; otherwise the first read
+    evaluates `codeword` at k points and counts those products.
     """
 
-    codeword: tuple[int, ...]
-    error: tuple[int, ...]
+    codeword: tuple[int, ...] = _FormedOnRead()
+    error: tuple[int, ...] = _FormedOnRead()
     error_count: int
-    locator: Poly
+    locator: Poly = _FormedOnRead()
     trace: DecodeTrace
-    _code: RSCode | None = field(default=None, repr=False, compare=False)
-    _message: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def message(self) -> tuple[int, ...]:
-        if self._message is None:
-            code = self._code
-            self._message = code.low_from_evaluations(code.field.eval_at_powers(  # int64: trusted
-                np.array(self.codeword, dtype=np.int64), first=code.n - code.k + 1, count=code.k))
-        return tuple(self._message.tolist())
+    message: tuple[int, ...] = _FormedOnRead()
 
 
 def decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
@@ -247,12 +247,9 @@ def decode_blocks(code: RSCode, blocks: Sequence[Sequence[int]] | np.ndarray, na
     for word, row, low in zip(words, evals, messages):
         start = mul_ops_total()
         try:
-            outcome = _decode_row(code, word, row, low, count_stage, tail)
+            results.append(_decode_row(code, word, row, low, count_stage, tail))
         except DecodeFailure as exc:
             results.append(exc)
-        else:
-            results.append(outcome)
-            low[:] = outcome._message
         mul_counts.append(mul_ops_total() - start)
     return messages, results, mul_counts
 
@@ -261,19 +258,20 @@ def _decode_row(code: RSCode, word: np.ndarray, evals: np.ndarray, low: np.ndarr
                 count_stage, tail) -> DecodeOutcome:
     """The pipeline on one validated word.  `evals` are its evaluations
     from alpha^1 on: the n - k syndromes, or all n of them, in which case
-    `low` is low(u) and the outcome holds its message.  The row's trace is
-    made here, filled by the stages, and attached here to any failure."""
+    `low` is low(u), over which a decoded word's message is written.  The
+    row's trace is made here, filled by the stages, and attached here to
+    any failure."""
     synd = evals[:code.n - code.k]
     trace = DecodeTrace()
     try:
-        t, locator = count_stage(code, synd, trace)
+        t, lam = count_stage(code, synd, trace)
         if t == 0:
-            # A copy: low is a row of the messages `decode_blocks` returns,
-            # and `message` reads it later.
-            return DecodeOutcome(tuple(word.tolist()), code._no_errors, 0, locator, trace,
-                                 code, None if low is None else low.copy())
-        cw, message = tail(code, word, evals, locator, trace)
-        return _verified_outcome(code, word, synd, cw, t, locator, trace, message, low)
+            # Copies: the word may be the caller's array, and low a row of
+            # the messages `decode_blocks` returns.
+            return _outcome(code, word.copy(), np.zeros_like(word), 0, lam, trace,
+                            None if low is None else low.copy())
+        cw, message = tail(code, word, evals, lam, trace)
+        return _verified_outcome(code, word, synd, cw, t, lam, trace, message, low)
     except DecodeFailure as exc:
         exc.trace = trace
         raise
@@ -284,10 +282,14 @@ def _hankel(syndromes: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return syndromes[idx]
 
 
-# ----- count stages: (code, syndromes, trace) -> (t, locator), or DecodeFailure -----
+# ----- count stages: (code, syndromes, trace) -> (t, lambda), or DecodeFailure -----
+#
+# lambda is the monic locator's int64 coefficient array, lowest degree first.
 
 _ZERO_CONSTANT = ("locator constant term is zero, implying an error at the "
                   "excluded point 0")
+# The t = 0 locator, shared by every codeword's outcome (a read-only view).
+_ONE = np.broadcast_to(np.int64(1), 1)
 
 
 def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
@@ -386,20 +388,21 @@ def _clear(f: Field, cols: np.ndarray, p: int, b_logs: np.ndarray) -> None:
     cols[:, p:p + width] = f.sub_arr(cols[:, p:p + width], terms)
 
 
-def _rank_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, Poly]:
+def _rank_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, np.ndarray]:
     if not synd.any():
         trace.rank_checks = 1
-        return 0, code._one
+        return 0, _ONE
     t = _rank_count(code, synd)
     trace.rank_checks = code.tau + 1 if t is None else t + 1
     if t is None:
         raise TooManyErrors(f"no error count <= tau = {code.tau} fits the syndromes")
-    return t, solve_locator(code, synd, t)
+    return t, np.array(solve_locator(code, synd, t).coeffs, dtype=np.int64)
 
 
-def _determinant_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, Poly]:
+def _determinant_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace
+                      ) -> tuple[int, np.ndarray]:
     if not synd.any():
-        return 0, code._one
+        return 0, _ONE
     # H_tau is symmetric.  Each h x h Hankel matrix with h > r = rank(H_tau)
     # is a leading submatrix of H_tau, so singular, and H_r is nonsingular
     # iff the pivots of H_tau sit in columns 0, ..., r - 1.  If they do,
@@ -408,30 +411,29 @@ def _determinant_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tup
     # so H_r does.  Conversely a nonsingular H_r makes columns 0, ..., r - 1
     # independent, and they take the first r pivots.  Only a singular H_r
     # (past the correction radius) leads to more eliminations, one for each
-    # h from r - 1 down: H_h is nonsingular iff it has h pivots.
+    # h from r - 1 down; H_h's own pivots are 0, ..., h - 1 iff it has h.
     tau = code.tau
     pivots, _ = _eliminate(code.field, _hankel(synd, tau, tau), tau)
     rank = len(pivots)
-    if rank and pivots[-1] == rank - 1:
-        trace.det_checks = tau - rank + 1
-        return rank, solve_locator(code, synd, rank)
-    for h in range(rank - 1, 0, -1):
-        if len(_eliminate(code.field, _hankel(synd, h, h), h)[0]) == h:
+    for h in range(rank, 0, -1):
+        if h < rank:
+            pivots, _ = _eliminate(code.field, _hankel(synd, h, h), h)
+        if pivots[h - 1:] == [h - 1]:  # pivots 0, ..., h - 1: H_h is nonsingular
             trace.det_checks = tau - h + 1
-            return h, solve_locator(code, synd, h)
+            return h, np.array(solve_locator(code, synd, h).coeffs, dtype=np.int64)
     trace.det_checks = tau
     raise TooManyErrors(
         f"all Hankel determinants up to tau = {tau} vanish for a "
         "nonzero syndrome vector")
 
 
-def _bm_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, Poly]:
-    t, locator = _massey(code, np.asarray(synd).tolist())
+def _bm_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, np.ndarray]:
+    t, lam = _massey(code, synd.tolist())
     if t > code.tau:
         raise TooManyErrors(f"the syndromes have linear complexity {t} > tau = {code.tau}")
-    if locator.coeffs[0] == 0:
+    if lam[0] == 0:
         raise SingularLocatorSystem(_ZERO_CONSTANT)
-    return t, locator
+    return t, lam
 
 
 def berlekamp_massey(code: RSCode, syndromes: Sequence[int]) -> tuple[int, Poly]:
@@ -445,13 +447,15 @@ def berlekamp_massey(code: RSCode, syndromes: Sequence[int]) -> tuple[int, Poly]
     product C_i * s_(r-i) (i >= 1), a correction costs one division and one
     multiplication per nonzero coefficient of the shifted earlier C.
     """
-    return _massey(code, code._checked(syndromes, "syndrome vector").tolist())
+    t, lam = _massey(code, code._checked(syndromes, "syndrome vector").tolist())
+    return t, Poly(code.field, lam)
 
 
-def _massey(code: RSCode, s: list[int]) -> tuple[int, Poly]:
+def _massey(code: RSCode, s: list[int]) -> tuple[int, np.ndarray]:
+    """`berlekamp_massey` on a list of syndromes, its locator an int64 array."""
     f = code.field
     if not any(s):
-        return 0, code._one
+        return 0, _ONE
     n = f.q - 1
     exp2, log = f._exp2, f.log
     prime, p = f.kind == "prime", f.p
@@ -492,7 +496,7 @@ def _massey(code: RSCode, s: list[int]) -> tuple[int, Poly]:
         conn = new
         conn_terms = [(i, log[c]) for i, c in enumerate(conn) if i and c]
     add_mul_ops(muls)
-    return length, Poly(f, (conn + [0] * length)[:length + 1][::-1])
+    return length, np.array((conn + [0] * length)[:length + 1][::-1], dtype=np.int64)
 
 
 def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
@@ -513,19 +517,19 @@ def solve_locator(code: RSCode, syndromes: Sequence[int], t: int) -> Poly:
         raise ValueError(f"error count t={t} must satisfy 1 <= t <= tau = {code.tau}")
     # Checked again on the pipeline's own syndromes: the benchmark's tests
     # count one call of this public name per decode (ROADMAP item 7).
-    s = code._checked(syndromes, "syndrome vector")
-    length, locator = _massey(code, s[:2 * t].tolist())
+    length, lam = _massey(code, code._checked(syndromes, "syndrome vector")[:2 * t].tolist())
     if length != t:
         status = "no_solution" if length > t else "underdetermined"
         raise SingularLocatorSystem(f"locator system for t={t} is {status}")
-    if locator.coeffs[0] == 0:
+    if lam[0] == 0:
         raise SingularLocatorSystem(_ZERO_CONSTANT)
-    return locator
+    return Poly(code.field, lam)
 
 
-# ----- tails: (code, word, evaluations, locator, trace) -> (codeword, message or None)
+# ----- tails: (code, word, evaluations, lambda, trace) -> (codeword, message or None)
 #
-# The evaluations are u(alpha^1), ... : the n - k syndromes, or all n.
+# The evaluations are u(alpha^1), ... : the n - k syndromes, or all n.  The
+# scalar loops read lambda as a list, as int64 scalars are slow in Python.
 
 def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
                                 locator: Poly, t: int) -> Poly:
@@ -537,24 +541,23 @@ def recover_codeword_polynomial(code: RSCode, word: Sequence[int],
         locator = locator.scale(code.field.inv(locator.coeffs[-1]))
     f, n, k = code.field, code.n, code.k
     evals = f.eval_at_powers(code._checked(word), first=1, count=n)
-    quot = _recovered_quotient(code, evals[:n - k], locator)
+    quot = _recovered_quotient(code, evals[:n - k], np.array(locator.coeffs, dtype=np.int64))
     return Poly(f, f.sub_arr(code.low_from_evaluations(evals[n - k:]), quot[:k]).tolist())
 
 
 def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
-             locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray | None]:
+             lam: np.ndarray, trace: DecodeTrace) -> tuple[np.ndarray, np.ndarray | None]:
     """The recover tail: `_recovered_quotient`, then the trace's
     interp_degree and high_quotient, filled here once the quotient has
     passed its checks, then the codeword by one of two routes."""
     f = code.field
     n, k = code.n, code.k
     synd = evals[:n - k]
-    quot = _recovered_quotient(code, synd, locator)
+    quot = _recovered_quotient(code, synd, lam)
     # deg f_u = n - 1 - j for the first nonzero syndrome s_j = u(alpha^(j+1));
     # the tail runs only on a word that is not a codeword.
     trace.interp_degree = n - 1 - int(np.flatnonzero(synd)[0])
-    trace.high_quotient = functools.partial(_high_quotient, f, locator,
-                                            synd[:locator.degree].tolist())
+    trace.high_quotient = functools.partial(_high_quotient, f, lam, synd[:len(lam) - 1].copy())
     if len(evals) < n and (f.eval_products(n, int(np.count_nonzero(quot)))
                            > f.eval_products(k, int(np.count_nonzero(word)))
                            + f.eval_products(n, k)):
@@ -570,7 +573,7 @@ def _recover(code: RSCode, word: np.ndarray, evals: np.ndarray,
     return f.sub_arr(word, f.eval_at_powers(quot, first=0, count=n)), None
 
 
-def _recovered_quotient(code: RSCode, synd: np.ndarray, locator: Poly) -> np.ndarray:
+def _recovered_quotient(code: RSCode, synd: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The exact quotient Q = (x^n - 1) mu / lambda of the monic locator,
     from the word's n - k syndromes `synd`, so that f_c = f_u - Q; raises
     InexactDivision or DegreeTooHigh.  It fills no trace: `_recover` fills
@@ -586,8 +589,8 @@ def _recovered_quotient(code: RSCode, synd: np.ndarray, locator: Poly) -> np.nda
     """
     f = code.field
     n, k = code.n, code.k
-    t = locator.degree
-    quot, exact = _wrapped_quotient(f, locator.coeffs, f.neg_arr(synd[t - 1::-1]), n)
+    t = len(lam) - 1
+    quot, exact = _wrapped_quotient(f, lam.tolist(), f.neg_arr(synd[t - 1::-1]), n)
     if not exact:
         raise InexactDivision(
             "locator does not divide the wrapped high part; it cannot "
@@ -600,11 +603,11 @@ def _recovered_quotient(code: RSCode, synd: np.ndarray, locator: Poly) -> np.nda
     return quot
 
 
-def _high_quotient(f: Field, locator: Poly, synd: list[int]) -> Poly:
+def _high_quotient(f: Field, lam: np.ndarray, synd: np.ndarray) -> Poly:
     """The recover tail's mu = -Omega reversed, from the first t syndromes;
     `_error_evaluator` counts its products when the trace's first read
     forms it."""
-    return Poly(f, [f.neg(x) for x in _error_evaluator(f, locator, synd)[::-1]])
+    return Poly(f, [f.neg(x) for x in _error_evaluator(f, lam, synd)[::-1]])
 
 
 def _wrapped_quotient(f: Field, lam: Sequence[int], top: np.ndarray, n: int
@@ -685,21 +688,21 @@ def _block_rows(n: int, t: int) -> int:
     return max(1, min(n - t, math.isqrt(50 * (n - t) // (t + 4))))
 
 
-def _error_evaluator(f: Field, locator: Poly, synd: np.ndarray | Sequence[int]) -> list[int]:
+def _error_evaluator(f: Field, lam: np.ndarray, synd: np.ndarray) -> list[int]:
     """Forney's error evaluator Omega = (sum_(r<t) s_r x^r) Lambda mod x^t
-    of the degree-t locator, Lambda(x) = x^t lambda(1/x), as t ints.
+    of the degree-t locator lambda, Lambda(x) = x^t lambda(1/x), as t ints.
     Counts one product per nonzero Lambda_j s_(r-j) with 1 <= j <= r < t
     (Lambda_0 = lambda_t = 1 needs none)."""
-    t = locator.degree
+    t = len(lam) - 1
     exp2, log = f._exp2, f.log
     prime = f.kind == "prime"
-    lam = locator.coeffs[::-1]  # Lambda_j = lambda_(t-j)
-    omega = np.asarray(synd[:t]).tolist()
+    rev = lam.tolist()[::-1]  # Lambda_j = lambda_(t-j)
+    omega = synd[:t].tolist()
     s_logs = [log[x] for x in omega]  # log 0 is -1
     muls = 0
     for j in range(1, t):
-        if lam[j]:
-            lj = log[lam[j]]
+        if rev[j]:
+            lj = log[rev[j]]
             for r in range(j, t):
                 sl = s_logs[r - j]
                 if sl >= 0:
@@ -710,7 +713,7 @@ def _error_evaluator(f: Field, locator: Poly, synd: np.ndarray | Sequence[int]) 
 
 
 def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray,
-                                locator: Poly, trace: DecodeTrace) -> tuple[np.ndarray, None]:
+                                lam: np.ndarray, trace: DecodeTrace) -> tuple[np.ndarray, None]:
     """Error positions (the i with lambda(alpha^i) = 0, a Chien search)
     and Forney's values, subtracted from the word.
 
@@ -728,30 +731,30 @@ def _error_positions_and_values(code: RSCode, word: np.ndarray, synd: np.ndarray
     factor 1) are not, nor, in characteristic 2, Lambda' 's factors j.
     """
     f = code.field
-    t = locator.degree
+    t = len(lam) - 1
     n = f.q - 1
-    lam = np.array(locator.coeffs[::-1], dtype=np.int64)  # Lambda_j = lambda_(t-j), Lambda_0 = 1
-    pos = np.flatnonzero(f.eval_at_powers(lam[::-1], first=0, count=n) == 0)
+    pos = np.flatnonzero(f.eval_at_powers(lam, first=0, count=n) == 0)
     if len(pos) != t:
         raise RootCountMismatch(
             f"locator of degree {t} has {len(pos)} distinct nonzero roots")
     exp2, log = f._exp2_np, f._log_np
-    # Lambda' = sum_(j >= 1) j Lambda_j x^(j-1), with j mod p: in characteristic
+    # Lambda' = sum_(j >= 1) j Lambda_j x^(j-1), Lambda_j = lambda_(t-j) (so
+    # Lambda_1, ..., Lambda_t is lam[-2::-1]), with j mod p: in characteristic
     # 2 an even j has the sentinel log of 0, so its term reads exp2's zero tail.
-    deriv = exp2[log[lam[1:]] + log[np.arange(1, t + 1) % f.p]]
-    polys = np.array([_error_evaluator(f, locator, synd), deriv])
+    deriv = exp2[log[lam[-2::-1]] + log[np.arange(1, t + 1) % f.p]]
+    polys = np.array([_error_evaluator(f, lam, synd), deriv])
     # Term i at X^-1 = alpha^(n - pos) is alpha^(log c_i + i (n - pos) mod n).
     num, den = f.sum_arr(exp2[log[polys][:, None] + np.multiply.outer(n - pos, np.arange(t)) % n])
     cw = word.copy()
     cw[pos] = f.add_arr(cw[pos], exp2[log[num] - log[den] + n])
     nnz = np.count_nonzero
     add_mul_ops(int(t * nnz(polys[0, 1:]) + nnz(num) * (nnz(deriv[1:]) + 1)
-                    + (nnz(lam[2:]) if f.kind == "prime" else 0)))
+                    + (nnz(lam[:-2]) if f.kind == "prime" else 0)))
     return cw, None
 
 
 def _verified_outcome(code: RSCode, word: np.ndarray, synd: np.ndarray,
-                      cw: np.ndarray, t: int, locator: Poly, trace: DecodeTrace,
+                      cw: np.ndarray, t: int, lam: np.ndarray, trace: DecodeTrace,
                       message: np.ndarray | None, low: np.ndarray | None) -> DecodeOutcome:
     f = code.field
     err = f.sub_arr(word, cw)
@@ -765,12 +768,32 @@ def _verified_outcome(code: RSCode, word: np.ndarray, synd: np.ndarray,
     if weight != t:
         raise VerifyFailed(
             f"decoded codeword is at distance {weight}, expected exactly {t}")
-    if message is None and low is not None:
-        # low(c) = low(u) - low(e), the direct sum on the t nonzeros of e.
-        low_err = code.low_from_evaluations(f.eval_at_powers(err, first=r + 1, count=code.k))
-        message = f.sub_arr(low, low_err)
-    return DecodeOutcome(tuple(cw.tolist()), tuple(err.tolist()), t, locator, trace,
-                         code, message)
+    if low is not None:  # the row of `decode_blocks`' messages gets the message
+        if message is None:  # low(c) = low(u) - low(e), summed on the t nonzeros of e
+            message = f.sub_arr(low, code.low_from_evaluations(
+                f.eval_at_powers(err, first=r + 1, count=code.k)))
+        low[:] = message
+    return _outcome(code, cw, err, t, lam, trace, message)
+
+
+def _outcome(code: RSCode, cw: np.ndarray, err: np.ndarray, t: int, lam: np.ndarray,
+             trace: DecodeTrace, message: np.ndarray | None) -> DecodeOutcome:
+    """The outcome of the pipeline's arrays, each formed on first read: a
+    tuple of ints, lambda's Poly, and the message, which without `message`
+    is k evaluations of cw, whose products count then."""
+    form = functools.partial
+    message = form(_message_of, code, cw) if message is None else form(_ints, message)
+    return DecodeOutcome(codeword=form(_ints, cw), error=form(_ints, err), error_count=t,
+                         locator=form(Poly, code.field, lam), trace=trace, message=message)
+
+
+def _ints(a: np.ndarray) -> tuple[int, ...]:
+    return tuple(a.tolist())
+
+
+def _message_of(code: RSCode, cw: np.ndarray) -> tuple[int, ...]:
+    evals = code.field.eval_at_powers(cw, first=code.n - code.k + 1, count=code.k)  # trusted
+    return _ints(code.low_from_evaluations(evals))
 
 
 # The one decoder registry, read by `bench`, the CLI's `decode` and

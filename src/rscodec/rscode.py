@@ -35,7 +35,7 @@ from .poly import Poly
 class RSCode:
     """Parameters of RS(q, alpha, k) and its maps."""
 
-    __slots__ = ("field", "k", "n", "d", "tau", "_sizes", "_one", "_no_errors")
+    __slots__ = ("field", "k", "n", "d", "tau", "_sizes")
 
     def __init__(self, field: Field, k: int):
         n = field.q - 1
@@ -48,9 +48,6 @@ class RSCode:
         self.tau = (n - k) // 2
         self._sizes = {"word": (n, "n"), "message": (k, "k"),
                        "syndrome vector": (n - k, "n - k")}
-        # A codeword's locator and error, shared by every t = 0 outcome.
-        self._one = Poly.one(field)
-        self._no_errors = (0,) * n
 
     # ----- validation -----------------------------------------------------------
     # One validator for every input kind, returning the int64 array (one numpy

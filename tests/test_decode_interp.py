@@ -144,6 +144,7 @@ def _check_against_definition(code, s):
     syndromes `s`, against `_rank_definition`; returns the count, or
     "singular" where the locator's constant term is zero."""
     f = code.field
+    synd = np.array(s, dtype=np.int64)  # the count stages take the int64 syndromes
     want = _rank_definition(code, s)
     assert detect_error_count(code, s) == want, (f, s)
     # Berlekamp-Massey: the linear complexity is the same count, and the
@@ -152,7 +153,7 @@ def _check_against_definition(code, s):
     assert (length if length <= code.tau else None) == want, (f, s)
     if want is None:
         with pytest.raises(TooManyErrors):
-            _bm_scan(code, s, DecodeTrace())
+            _bm_scan(code, synd, DecodeTrace())
     if not want:
         return want
     assert lam.degree == want and lam.coeffs[-1] == 1
@@ -162,13 +163,14 @@ def _check_against_definition(code, s):
         assert lam.coeffs[0] == 0, (f, s)
         trace = DecodeTrace()
         with pytest.raises(SingularLocatorSystem, match="constant term is zero") as exc:
-            _bm_scan(code, s, trace)
+            _bm_scan(code, synd, trace)
         # a stage called on its own raises without a trace, and leaves
         # the counters of the trace it was given at 0
         assert exc.value.trace is None and trace == DecodeTrace()
         return "singular"
     assert lam == ref, (f, s)
-    assert _bm_scan(code, s, DecodeTrace()) == (want, ref)
+    t, lam = _bm_scan(code, synd, DecodeTrace())
+    assert t == want and lam.dtype == np.int64 and lam.tolist() == list(ref.coeffs)
     return want
 
 
@@ -271,8 +273,11 @@ def test_recover_tail_cost_and_structure(monkeypatch):
     word = corrupt(rng, code, cw, 1)
     calls.clear()
     out = decode(code, word)
-    assert out.codeword == cw and out._message is not None
     assert calls == [(1, 251), (252, 4), (0, 255), (1, 251)]
+    with gf.MulOpCounter() as ctr:
+        message = out.message
+    assert ctr.count == 0 and len(calls) == 4  # the tail held the message
+    assert out.codeword == cw and code.encode(message) == cw
 
 
 def test_recover_route_counts_the_message_encoding(monkeypatch):
@@ -297,8 +302,8 @@ def test_recover_route_counts_the_message_encoding(monkeypatch):
     out = decode(code, word)
     assert out.error_count == 8
     assert calls == [(1, 56), (0, 256), (1, 56)]
-    assert out._message is None
     assert out.message == tuple(msg)
+    assert calls[3:] == [(57, 200)]  # formed on this read
 
 
 # ----- step 2: locator --------------------------------------------------------------
@@ -360,7 +365,7 @@ def _hankel_stand_in(f, t):
     the Hankel system is defined over every field for every t, but a code
     over GF(4) or GF(5) has at most 3 syndromes."""
     code = object.__new__(RSCode)
-    code.field, code.tau, code._one = f, t, Poly.one(f)
+    code.field, code.tau = f, t
     code._sizes = {"syndrome vector": (2 * t, "n - k")}
     return code
 
@@ -636,7 +641,7 @@ def test_error_evaluator_is_the_truncated_product(q, kw):
                          for _ in range(t + 3)], dtype=np.int64)
         big_lam = lam[::-1]
         with gf.MulOpCounter() as ctr:
-            omega = _error_evaluator(f, Poly(f, lam), synd)
+            omega = _error_evaluator(f, np.array(lam, dtype=np.int64), synd)
         product = (Poly(f, synd[:t].tolist()) * Poly(f, big_lam)).coeffs[:t]
         assert omega == list(product) + [0] * (t - len(product))
         assert ctr.count == sum(
@@ -753,6 +758,53 @@ def test_high_quotient_is_formed_when_read(rs72, monkeypatch):
     assert reading.count == 120 == sum(
         1 for j in range(1, 16) for r in range(j, 16) if lam[j] and synd[r - j])
     assert decoding.count == 21_727 and again.count == 0
+
+
+def test_outcome_fields_are_formed_when_read():
+    # The outcome forms codeword, error and locator from the pipeline's
+    # arrays on first read, with no product.  Its message, unless the
+    # decoder holds it, is k evaluations of the codeword, counted on that
+    # read: 6 349 products on this RS(255,223) t = 8 word by `bm` and by
+    # `interp` (whose tail takes the orbit route here), as when the
+    # outcome's tuples were built before it returned.  Deterministic.
+    rng = random.Random(8)
+    code = get_code(256, 223)
+    msg = tuple(rng.randrange(256) for _ in range(223))
+    cw = code.encode(msg)
+    word = corrupt(rng, code, cw, 8)
+    for name in ("bm", "interp"):
+        out = DECODERS[name](code, word)
+        with gf.MulOpCounter() as forming:
+            assert out.codeword == cw and out.error_count == 8
+            assert out.error == tuple(code.field.sub(u, c) for u, c in zip(word, cw))
+            assert out.locator.degree == 8 and out.locator.coeffs[-1] == 1
+        with gf.MulOpCounter() as reading:
+            assert out.message == msg
+        assert forming.count == 0 and reading.count == 6_349, name
+
+
+@pytest.mark.parametrize("t", [0, 3])
+def test_outcome_outlives_the_callers_word_array(t):
+    # An int64 word array is validated without a copy, so the pipeline runs
+    # on the caller's array; an outcome, whose fields are formed when read,
+    # must not read it then.  decode_blocks' returned messages are the
+    # caller's too.  The caller overwrites both before reading.
+    rng = random.Random(t)
+    code = get_code(16, 6, reduction=0x19, alpha=6)
+    msgs = [tuple(rng.randrange(16) for _ in range(6)) for _ in range(2)]
+    cws = [code.encode(m) for m in msgs]
+    words = [corrupt(rng, code, cw, t) for cw in cws]
+    for name in DECODERS:
+        arrays = [np.array(u, dtype=np.int64) for u in words]
+        outs = [DECODERS[name](code, a) for a in arrays]
+        block = np.array(words, dtype=np.int64)
+        messages, results, _ = decode_blocks(code, block, name)
+        assert messages.tolist() == [list(m) for m in msgs]
+        for a in arrays + [block, messages]:
+            a[:] = 0
+        for out, u, cw, msg in zip(outs + results, words * 2, cws * 2, msgs * 2):
+            assert (out.codeword, out.message) == (cw, msg), name
+            assert out.error == tuple(code.field.sub(x, c) for x, c in zip(u, cw)), name
 
 
 def test_decode_codeword_fixture(rs72, monkeypatch):
@@ -885,7 +937,9 @@ def test_forney_values_solve_the_value_system(q, k, kw):
         with gf.MulOpCounter() as chien:
             locator.roots_nonzero()
         with gf.MulOpCounter() as tail:
-            cw, message = _error_positions_and_values(code, zero, synd, locator, DecodeTrace())
+            cw, message = _error_positions_and_values(
+                code, zero, np.array(synd, dtype=np.int64),
+                np.array(locator.coeffs, dtype=np.int64), DecodeTrace())
         assert message is None
         got = tuple(f.neg(c) for c in cw.tolist())
         assert tuple(got[i] for i in positions) == want
@@ -909,7 +963,7 @@ def test_forney_values_solve_the_value_system(q, k, kw):
             word = [f.add(c, e) for c, e in zip(sent, err)]
             with pytest.raises(VerifyFailed, match=(
                     rf"^decoded codeword is at distance {t - 1}, expected exactly {t}$")):
-                _run(code, word, lambda code, synd, trace: (t, locator),
+                _run(code, word, lambda code, synd, trace: (t, np.array(locator.coeffs)),
                      _error_positions_and_values)
     assert zero_numerators > 0
 

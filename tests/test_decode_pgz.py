@@ -180,11 +180,11 @@ def test_pgz_roundtrip_binary_field():
 def _descending_scan(code, synd, trace):
     """The classic PGZ count stage: one determinant for each h = tau, ..., 1."""
     if not synd.any():
-        return 0, Poly.one(code.field)
+        return 0, np.ones(1, dtype=np.int64)
     for h in range(code.tau, 0, -1):
         trace.det_checks += 1
         if FeMat._wrap(code.field, synd[np.add.outer(np.arange(h), np.arange(h))]).det():
-            return h, solve_locator(code, synd, h)
+            return h, np.array(solve_locator(code, synd, h).coeffs, dtype=np.int64)
     raise TooManyErrors(f"all Hankel determinants up to tau = {code.tau} vanish for a "
                         "nonzero syndrome vector")
 
@@ -197,8 +197,8 @@ def _counted(fn, *args):
             out = exc
     if isinstance(out, DecodeFailure):
         return ctr.count, (type(out), str(out), out.trace)
-    if isinstance(out, tuple):  # a count stage's (t, locator)
-        return ctr.count, out
+    if isinstance(out, tuple):  # a count stage's (t, lambda array)
+        return ctr.count, (out[0], out[1].tolist())
     return ctr.count, (out.codeword, out.error, out.error_count, out.locator,
                        out.trace, out.message)
 

@@ -25,27 +25,30 @@ makes the row's one DecodeTrace; a stage sets its counter on it before it
 can raise, and raises its failures without a trace, as the tail does:
 `_decode_row` alone attaches the trace to every DecodeFailure of the row.
 
+Both paper scans run one kernel, `_hankel_scan`: a right-looking
+elimination of the Hankel columns v_j = (s_j, s_(j+1), ...) in order,
+which clears each column's remainder from every later column at once and
+stops at the first column in the span of the earlier ones, whose index
+it returns (the later columns are formed in panels, onto which the
+recorded remainders are replayed).  The count stages:
+
 - the paper's rank scan (`_rank_count`, the kernel of the public
   `detect_error_count`: the smallest t whose (n-k-t) x t Hankel matrix
   has the rank of its (n-k-t) x (t+1) augmentation; t + 1 rank checks,
-  or tau + 1 when none fits, answered by one right-looking elimination:
-  the candidates' matrices are nested, each adding a column and dropping
-  a row, so each failed candidate's remainder is cleared from every later
-  column at once, and candidate t checks that its column is zero on its
-  row window; the later columns are formed in panels, onto which the
-  recorded remainders are replayed), then the
+  or tau + 1 when none fits: the candidates' matrices are nested, each
+  adding a column and dropping a row, so candidate t is column t checked
+  on its row window), then the
   t x t Hankel system [s_(i+j)] lambda = -(s_t, ..., s_(2t-1))
   (`solve_locator`), solved not by a second elimination but as the
   shift-register synthesis on s_0, ..., s_(2t-1) that `bm` runs;
 - the Peterson-Gorenstein-Zierler determinant scan (the largest h <= tau
   with a nonzero h x h Hankel determinant; 0 checks for a codeword,
   tau - t + 1 on success, tau on failure, one check per candidate h
-  decided: one elimination of the tau x tau Hankel matrix H_tau gives
-  its rank r, which decides every h > r (singular), and its pivot
-  columns decide h = r, as the symmetric H_tau has a nonsingular H_r iff
-  they are 0, ..., r - 1; only past a singular H_r does each h < r take
-  its own elimination, which finds h pivots iff H_h is nonsingular),
-  then `solve_locator` on the nonsingular H_h;
+  decided: the kernel runs once on the columns of the tau x tau Hankel
+  matrix H_tau, and its answer r is h: each H_h with h > r holds the
+  dependent column, and H_r is nonsingular, as the recurrence that makes
+  column r dependent makes the rows of columns 0, ..., r - 1 a Krylov
+  sequence), then `solve_locator` on the nonsingular H_h;
 - Berlekamp-Massey (`berlekamp_massey`).  Candidate t passes the rank
   check iff some length-t LFSR generates all n - k syndromes, so the
   paper's t is the sequence's linear complexity L, and lambda is the
@@ -123,7 +126,6 @@ from .exceptions import (
     TooManyErrors,
     VerifyFailed,
 )
-from .femat import _eliminate
 from .gf import Field, add_mul_ops, mul_ops_total
 from .poly import Poly
 from .rscode import RSCode
@@ -153,8 +155,8 @@ class DecodeTrace:
     """Work counters and intermediate values of one decode call.
 
     rank_checks counts the rank scan's rank-equality tests, det_checks the
-    determinant scan's candidates h decided (not the eliminations it runs:
-    one rank decides every candidate above it); a scan that did not run
+    determinant scan's candidates h decided (not the elimination it runs,
+    which decides every candidate at once); a scan that did not run
     leaves its counter at 0, so Berlekamp-Massey leaves both at 0.
     interp_degree and high_quotient are set by the recover tail only;
     high_quotient is formed, and its products counted, on its first read.
@@ -202,12 +204,11 @@ def pgz_decode(code: RSCode, word: Sequence[int]) -> DecodeOutcome:
 
     The scan decides 0 candidates for a codeword, tau - t + 1 for a
     successful decode of weight t >= 1, and tau when no weight fits
-    (TooManyErrors).  One elimination of the tau x tau Hankel matrix gives
-    its rank r and decides every h > r; for t <= tau errors r = t, and
-    the same elimination shows the t x t block nonsingular.  Only beyond
-    the radius, where the r x r block can be singular, does it eliminate
-    again, once for each h < r it decides: H_h is nonsingular iff its
-    elimination finds h pivots.  The scan forms no determinant, and
+    (TooManyErrors).  One elimination of the columns of the tau x tau
+    Hankel matrix, the rank scan's kernel, decides every candidate, also
+    beyond the radius: it stops at the first column r in the span of the
+    earlier ones, so every h > r is singular, and H_r is nonsingular.
+    For t <= tau errors r = t.  The scan forms no determinant, and
     `solve_locator` takes the locator from the h x h system by
     shift-register synthesis, without a second elimination.
     """
@@ -277,11 +278,6 @@ def _decode_row(code: RSCode, word: np.ndarray, evals: np.ndarray, low: np.ndarr
         raise
 
 
-def _hankel(syndromes: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    idx = np.arange(rows, dtype=np.intp)[:, None] + np.arange(cols, dtype=np.intp)[None, :]
-    return syndromes[idx]
-
-
 # ----- count stages: (code, syndromes, trace) -> (t, lambda), or DecodeFailure -----
 #
 # lambda is the monic locator's int64 coefficient array, lowest degree first.
@@ -304,88 +300,102 @@ def detect_error_count(code: RSCode, syndromes: Sequence[int]) -> int | None:
 
 
 def _rank_count(code: RSCode, s: np.ndarray) -> int | None:
-    """`detect_error_count` on the int64 syndrome array.
+    """`detect_error_count` on the int64 syndrome array: candidate t is
+    column t of `_hankel_scan` at width n - k, whose window is R_t.  The
+    scan stops at the first consistent candidate, so `_rank_scan` counts
+    t + 1 rank checks, or tau + 1 when none is consistent."""
+    t = _hankel_scan(code.field, s, len(s), code.tau + 1)
+    return t if t <= code.tau else None
 
-    One right-looking elimination answers every candidate.  Each failed
-    candidate j leaves a remainder b_j, its column v_j less multiples of
-    the earlier remainders, with pivot p_j, its first nonzero coordinate
-    on R_j; b_j is zero at every earlier pivot inside R_j, and it is
-    cleared from each later column v_l that still holds p_j (p_j < R_l)
-    at once: v_l -= v_l[p_j] (b_j / b_j[p_j]), one broadcast gather for
-    all of them (`_clear`).  So when candidate t comes up, its column is
-    v_t less its part in the span of the remainders whose pivots lie in
-    R_t, which is the span of v_0, ..., v_(t-1) cut to R_t (a remainder
-    whose pivot lies past R_t is zero there), and the column is zero on
-    R_t iff t is consistent.  Each remainder is recorded once, as the logs
-    of b_j / b_j[p_j] from p_j on: one product per nonzero coordinate.
 
-    The later columns are formed in panels of max(t + 1, `_PANEL_TERMS`
-    // (n - k)) candidates from the panel's first candidate t, each a
-    (rows, R_t) copy of a Hankel view of the zero-padded syndromes.  A
-    failure clears its remainder from the rest of its panel only; a new
-    panel has every recorded remainder cleared from it, in order, by the
-    same `_clear`.  A low t then clears no more than a panel of columns
-    it never checks, and as a panel holds at least as many candidates as
-    there are remainders to replay onto it, a high t replays at most one
-    remainder per candidate.  The products counted are the nonzero terms
-    formed: one per nonzero coordinate of each recorded remainder, and
-    those of every `_clear`, padding past a column's window included.
-    Candidates are checked in order and the scan stops at the first
-    consistent one, so `_rank_scan` counts t + 1 rank checks, or tau + 1
-    when none is consistent.
+def _hankel_scan(f: Field, s: np.ndarray, width: int, cols: int) -> int:
+    """The first of the Hankel columns v_j = s[j : j + width] (zero past
+    the end of s), j < cols, that lies in the span of the earlier ones on
+    its window R_j, its first min(width, len(s) - j) coordinates; `cols`
+    when there is none.
+
+    One right-looking elimination answers every column.  Each column j
+    before it leaves a remainder b_j, v_j less multiples of the earlier
+    remainders, with pivot p_j, its first nonzero coordinate on R_j; b_j is
+    zero at every earlier pivot inside R_j, and it is cleared from each
+    later column v_l that still holds p_j (p_j < R_l) at once: v_l -=
+    v_l[p_j] (b_j / b_j[p_j]), one broadcast gather for all of them
+    (`_clear`).  So when column j comes up, it is v_j less its part in the
+    span of the remainders whose pivots lie in R_j, which is the span of
+    v_0, ..., v_(j-1) cut to R_j (a remainder whose pivot lies past R_j is
+    zero there), and it is zero on R_j iff v_j lies in that span.  Each
+    remainder is recorded once, as the logs of b_j / b_j[p_j] from p_j on:
+    one product per nonzero coordinate but the pivot's 1.
+
+    The later columns are formed in panels of max(j + 1, `_PANEL_TERMS`
+    // width) columns from the panel's first column j, each a (rows,
+    R_j) copy of a Hankel view of the zero-padded syndromes.  A remainder
+    is cleared from the rest of its panel only; a new panel has every
+    recorded remainder cleared from it, in order, by the same `_clear`.
+    A column found early then clears no more than a panel of columns it
+    never checks, and as a panel holds at least as many columns as there
+    are remainders to replay onto it, a late one replays at most one
+    remainder per column.  The products counted are the nonzero terms
+    formed: one per nonzero coordinate of each recorded remainder but its
+    pivot, and those of every `_clear`, padding past a column's window
+    included.
     """
-    f = code.field
-    m, tau = len(s), code.tau
+    m = len(s)
     exp2, log = f._exp2_np, f._log_np
     records: list[tuple[int, np.ndarray]] = []  # (p_j, log(b_j[p_j:] / b_j[p_j]))
-    end = 0
-    for t in range(tau + 1):
-        if t == end:
-            base, end = t, min(tau + 1, t + max(t + 1, _PANEL_TERMS // m))
-            rows, width = end - base, m - base
-            pad = np.zeros(width + rows, dtype=np.int64)
-            pad[:width] = s[base:]
+    end = muls = r = 0
+    for j in range(cols):
+        if j == end:
+            base, end = j, min(cols, j + max(j + 1, _PANEL_TERMS // width))
+            rows, w = end - base, min(width, m - base)
+            pad = np.zeros(w + rows, dtype=np.int64)
+            pad[:min(w + rows, m - base)] = s[base:base + w + rows]
             # Row i is v_(base+i), zero past its window: a Hankel view, copied.
-            panel = np.ndarray((rows, width), np.int64, pad, 0, (8, 8)).copy()
+            panel = np.ndarray((rows, w), np.int64, pad, 0, (8, 8)).copy()
             for p, b_logs in records:
                 if m - p > base:
-                    _clear(f, panel[:m - p - base], p, b_logs)
-        col = panel[t - base, :m - t]
+                    muls += _clear(f, panel[:m - p - base], p, b_logs)
+        col = panel[j - base, :m - j]  # R_j, as the panel is at most `width` wide
         nonzero = col.nonzero()[0]
         if not nonzero.size:
-            return t
-        if t == tau:
+            break
+        r = j + 1
+        if r == cols:
             break
         p = int(nonzero[0])
-        # b / b[p] is one product per nonzero b_i by 1 / b[p] (a lookup); a
-        # zero's sentinel log stays in exp2's zero tail.
+        # b / b[p] is one product per nonzero b_i by 1 / b[p] (a lookup), and
+        # none for b[p] / b[p] = 1; a zero's sentinel log stays in exp2's
+        # zero tail.
         b_logs = log[exp2[log[col[p:]] + (f.q - 1 - f.log[col[p]])]]
-        add_mul_ops(nonzero.size)
+        muls += nonzero.size - 1
         records.append((p, b_logs))
         stop = min(end, m - p) - base  # the later columns of the panel holding p
-        if stop > t - base + 1:
-            _clear(f, panel[t - base + 1:stop], p, b_logs)
-    return None
+        if stop > j - base + 1:
+            muls += _clear(f, panel[j - base + 1:stop], p, b_logs)
+    add_mul_ops(muls)
+    return r
 
 
-# Terms of one rank-scan panel, (rows) x (n - k).  A `_clear` call costs a
+# Terms of one Hankel-scan panel, (rows) x (width).  A `_clear` call costs a
 # fixed 5 us or so of numpy calls, and 2.7 ns a term in GF(256) or 12.7 ns
 # in GF(257) (2 vCPU, Python 3.11, numpy 2.4): as much as forming 1 850 or
-# 390 terms.  With panels of about that many terms, the columns that a low
-# t clears but never checks cost about one more call, and each replay onto
-# a new panel costs one call; 1024 lies between the two fields' figures.
+# 390 terms.  With panels of about that many terms, the columns that an
+# early stop clears but never checks cost about one more call, and each
+# replay onto a new panel costs one call; 1024 lies between the two fields'
+# figures.
 _PANEL_TERMS = 1024
 
 
-def _clear(f: Field, cols: np.ndarray, p: int, b_logs: np.ndarray) -> None:
+def _clear(f: Field, cols: np.ndarray, p: int, b_logs: np.ndarray) -> int:
     """Subtract cols[i, p] b from every row i of `cols`, in place, for the
     normalized remainder b (b[p] = 1) whose coordinates from p on have
-    logs `b_logs`, as far as `cols` reaches; counts the nonzero terms
-    formed."""
+    logs `b_logs`, as far as `cols` reaches.  Returns the products: the
+    nonzero terms formed after column p, as the terms at p are cols[:, p]
+    times 1."""
     width = min(cols.shape[1] - p, len(b_logs))
     terms = f._exp2_np[f._log_np[cols[:, p]][:, None] + b_logs[:width]]
-    add_mul_ops(int(np.count_nonzero(terms)))
     cols[:, p:p + width] = f.sub_arr(cols[:, p:p + width], terms)
+    return int(np.count_nonzero(terms[:, 1:]))
 
 
 def _rank_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, np.ndarray]:
@@ -403,28 +413,25 @@ def _determinant_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace
                       ) -> tuple[int, np.ndarray]:
     if not synd.any():
         return 0, _ONE
-    # H_tau is symmetric.  Each h x h Hankel matrix with h > r = rank(H_tau)
-    # is a leading submatrix of H_tau, so singular, and H_r is nonsingular
-    # iff the pivots of H_tau sit in columns 0, ..., r - 1.  If they do,
-    # those columns span the column space, so by symmetry rows 0, ..., r - 1
-    # span the row space: they are [H_r, H_r X] for some X and have rank r,
-    # so H_r does.  Conversely a nonsingular H_r makes columns 0, ..., r - 1
-    # independent, and they take the first r pivots.  Only a singular H_r
-    # (past the correction radius) leads to more eliminations, one for each
-    # h from r - 1 down; H_h's own pivots are 0, ..., h - 1 iff it has h.
+    # H_h is the leading h x h block of H_tau, and h = r, the first column
+    # of H_tau in the span of the earlier ones (`_hankel_scan`), is the
+    # largest h with H_h nonsingular.  Every H_h with h > r is singular, as
+    # its column r is the same combination of its columns 0, ..., r - 1.
+    # On H_tau those r columns are independent and column r is their
+    # combination, s_(j+r) = sum_(i<r) c_i s_(j+i) for j < tau, so their
+    # rows u_j = (s_j, ..., s_(j+r-1)) follow u_(j+1) = C u_j for the
+    # companion matrix C of c.  The rows span r dimensions, and in a Krylov
+    # sequence the first u_d in the span of u_0, ..., u_(d-1) leaves every
+    # later one in it too, so u_0, ..., u_(r-1), the rows of H_r, are
+    # independent.
     tau = code.tau
-    pivots, _ = _eliminate(code.field, _hankel(synd, tau, tau), tau)
-    rank = len(pivots)
-    for h in range(rank, 0, -1):
-        if h < rank:
-            pivots, _ = _eliminate(code.field, _hankel(synd, h, h), h)
-        if pivots[h - 1:] == [h - 1]:  # pivots 0, ..., h - 1: H_h is nonsingular
-            trace.det_checks = tau - h + 1
-            return h, np.array(solve_locator(code, synd, h).coeffs, dtype=np.int64)
-    trace.det_checks = tau
-    raise TooManyErrors(
-        f"all Hankel determinants up to tau = {tau} vanish for a "
-        "nonzero syndrome vector")
+    h = _hankel_scan(code.field, synd, tau, tau)
+    trace.det_checks = tau - h + 1 if h else tau
+    if not h:
+        raise TooManyErrors(
+            f"all Hankel determinants up to tau = {tau} vanish for a "
+            "nonzero syndrome vector")
+    return h, np.array(solve_locator(code, synd, h).coeffs, dtype=np.int64)
 
 
 def _bm_scan(code: RSCode, synd: np.ndarray, trace: DecodeTrace) -> tuple[int, np.ndarray]:

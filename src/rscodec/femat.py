@@ -9,10 +9,12 @@ only the columns right of the pivot column in the rows below, zero rows
 included, with one broadcast `Field.mul_arr`; the zeros below the pivot
 are written, not computed.  So a step counts one multiplication per
 product of two nonzero entries right of its pivot, and the inverse.  The
-elimination returns its pivot columns, off which rank, solvability and
-the PGZ scan's nonsingular Hankel matrices are read, and the sign of its
-row swaps, which only `FeMat.det` reads: it multiplies the sign by the
-diagonal.  A unique solution is back-substituted with `Field.mul` and
+elimination returns its pivot columns, off which rank and solvability
+are read, and the sign of its row swaps, which only `FeMat.det` reads:
+it multiplies the sign by the diagonal.  No decode runs this module: the
+paper scans run their own Hankel elimination (`decode_interp`), and this
+is the reference linear algebra that `RSCode`'s generator and
+parity-check matrices and the tests build on.  A unique solution is back-substituted with `Field.mul` and
 `Field.sub`, which count one product per term whose two factors are
 nonzero.  Solving reports its outcome as a value (unique / no solution /
 underdetermined) rather than by raising, because singular systems are

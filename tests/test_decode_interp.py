@@ -34,7 +34,6 @@ from rscodec.decode_interp import (
     _bm_scan,
     _error_evaluator,
     _error_positions_and_values,
-    _hankel,
     _rank_scan,
     _run,
     _wrapped_quotient,
@@ -341,6 +340,11 @@ def test_locator_singular_system_rejected(rs72):
 _ZERO_TEXT = "locator constant term is zero, implying an error at the excluded point 0"
 
 
+def _hankel(syndromes, rows, cols):
+    """The rows x cols Hankel matrix [s_(i+j)] of the syndrome array."""
+    return syndromes[np.add.outer(np.arange(rows), np.arange(cols))]
+
+
 def _hankel_reference(f, s, t):
     """The locator, or the SingularLocatorSystem text, that solving the
     t x t Hankel system with `FeMat.solve` gives."""
@@ -485,6 +489,40 @@ def test_no_decode_solves_the_locator_system_by_elimination(monkeypatch):
         calls.clear()
         rows = decode_blocks(code, np.array(words), name)[1]
         assert [row.codeword for row in rows] == cws and calls == [1, 8, 16], name
+
+
+def test_no_decode_imports_or_runs_femat(monkeypatch):
+    # Both paper scans run the one Hankel elimination, `_hankel_scan`:
+    # `decode_interp` imports nothing from `femat`, and no decode, within
+    # the radius or past it, reaches its elimination.
+    import ast
+    import inspect
+
+    from rscodec import decode_interp, femat
+
+    tree = ast.parse(inspect.getsource(decode_interp))
+    imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [a.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for a in node.names]
+    assert "gf" in imported and not [name for name in imported if "femat" in name]
+
+    def forbidden(*args):
+        raise AssertionError("no decode runs femat's elimination")
+
+    monkeypatch.setattr(femat, "_eliminate", forbidden)
+    rng = random.Random(37)
+    for code in (get_code(13, 5), get_code(16, 6, reduction=0x19, alpha=6)):
+        words = [corrupt(rng, code, code.encode([rng.randrange(code.field.q)
+                                                 for _ in range(code.k)]), t)
+                 for t in range(code.tau + 1)]
+        words += [random_word(rng, code) for _ in range(30)]
+        for name in DECODERS:
+            for word in words:
+                try:
+                    DECODERS[name](code, word)
+                except DecodeFailure:
+                    pass
+            decode_blocks(code, np.array(words), name)
 
 
 # ----- step 3: codeword polynomial recovery --------------------------------------------
@@ -741,10 +779,10 @@ def test_high_quotient_is_formed_when_read(rs72, monkeypatch):
     # On RS(255,223) at t = 16, mu has 120 products, one per nonzero
     # Lambda_j s_(r-j): the decode no longer counts them (22 805 when it
     # did), the first read counts exactly them, a second read none.  The
-    # decode's 21 727 are 22 805 - 120 less the 1 632 of the locator
+    # decode's 21 575 are 22 805 - 120 less the 1 632 of the locator
     # system's elimination, plus the 501 of Massey's synthesis on
-    # s_0, ..., s_31 that replaced it, plus the 173 more products that the
-    # right-looking rank scan forms on this word (3 247 against 3 074).
+    # s_0, ..., s_31 that replaced it, plus the 21 more products that the
+    # right-looking rank scan forms on this word (3 095 against 3 074).
     rng = random.Random(255)
     code = get_code(256, 223)
     word = corrupt(rng, code, code.encode([rng.randrange(256) for _ in range(223)]), 16)
@@ -757,7 +795,7 @@ def test_high_quotient_is_formed_when_read(rs72, monkeypatch):
     lam, synd = out.locator.coeffs[::-1], code.syndromes(word)
     assert reading.count == 120 == sum(
         1 for j in range(1, 16) for r in range(j, 16) if lam[j] and synd[r - j])
-    assert decoding.count == 21_727 and again.count == 0
+    assert decoding.count == 21_575 and again.count == 0
 
 
 def test_outcome_fields_are_formed_when_read():

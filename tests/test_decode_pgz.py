@@ -20,7 +20,12 @@ from rscodec import (
     pgz_decode,
     solve_locator,
 )
-from rscodec.decode_interp import _determinant_scan, _error_positions_and_values, _run
+from rscodec.decode_interp import (
+    _determinant_scan,
+    _error_positions_and_values,
+    _hankel_scan,
+    _run,
+)
 
 from .util import corrupt, get_code, get_field, random_word
 
@@ -42,8 +47,8 @@ def test_pgz_single_error_fixture(rs72):
     assert out.error == (0, 2, 0, 0, 0, 0)
     assert out.error_count == 1
     assert out.locator == Poly(rs72.field, (2, 1))
-    # rank(H_2) = 1 decides h = 2 (singular), and its one pivot, in column
-    # 0, decides h = 1 (nonsingular): two candidates decided
+    # the elimination of H_2's columns stops at column 1, which decides
+    # h = 2 (singular) and h = 1 (nonsingular): two candidates decided
     assert out.trace.det_checks == 2
     assert out.trace.rank_checks == 0
 
@@ -73,8 +78,9 @@ def test_pgz_too_many_errors_deterministic():
 
 
 def test_pgz_forms_no_determinant_within_the_radius(monkeypatch):
-    # For 1 <= t <= tau errors the elimination that gives rank(H_tau) = t
-    # also shows H_t nonsingular, so no decode forms a determinant.
+    # For 1 <= t <= tau errors the elimination of H_tau's columns stops at
+    # column t, which shows H_t nonsingular, so no decode forms a
+    # determinant.
     calls = []
     det = FeMat.det
 
@@ -204,8 +210,9 @@ def _counted(fn, *args):
 
 
 def _singular_leading_block(code, synd):
-    """Whether rank(H_tau) = r is below tau with H_r singular: the one case
-    in which the determinant scan goes on to determinants."""
+    """Whether rank(H_tau) = r is below tau with H_r singular: then the
+    scan's h, the first column of H_tau in the span of the earlier ones,
+    lies below r."""
     def hankel(h):
         return FeMat._wrap(code.field, synd[np.add.outer(np.arange(h), np.arange(h))])
 
@@ -214,11 +221,11 @@ def _singular_leading_block(code, synd):
 
 
 def test_determinant_scan_matches_descending_scan():
-    # Starting the scan at h = rank(H_tau) decides the same h as the classic
-    # scan from tau down, with the same det_checks, locator and failures, and
-    # never forms more products: rank(H_tau) is the elimination det(H_tau)
-    # makes, its pivots decide h = r, and the scan's determinants, formed
-    # only below a singular H_r, are a subset of the classic ones.
+    # The one elimination of H_tau's columns, stopped at the first column
+    # in the span of the earlier ones, decides the same h as the classic
+    # scan from tau down, with the same det_checks, locator and failures,
+    # and never forms more products than the classic scan, whose first
+    # determinant alone eliminates H_tau.
     rng = random.Random(34)
     codes = [(get_code(7, 2, alpha=5), range(0, 5)),
              (get_code(7, 5), range(0, 3)),  # tau = 0: H_tau is 0 x 0
@@ -249,7 +256,7 @@ def test_determinant_scan_matches_descending_scan():
             synds.append(synd)
         if code.tau >= 3:
             # s_j = a^j plus d at j = 2 tau - 2, the corner of H_tau: rank 2
-            # with H_2 singular, so the scan goes on to det(H_1) = 1.
+            # with H_2 singular, as column 1 is a times column 0, so h = 1.
             f = code.field
             a, d = rng.randrange(1, q), rng.randrange(1, q)
             synd = np.array([f.pow(a, j) for j in range(r)], dtype=np.int64)
@@ -267,10 +274,54 @@ def test_determinant_scan_matches_descending_scan():
     assert {TooManyErrors, "decoded", "located", "singular H_r", "located past H_r"} <= kinds
 
 
+def test_largest_nonsingular_leading_block_is_the_first_dependent_column():
+    # One elimination of H_tau's columns (`_hankel_scan`) stops at r, the
+    # first column in the span of the earlier ones.  For every h <= tau,
+    # not only the h the scan picks, H_h is singular for h > r and
+    # nonsingular for h = r, so r is the PGZ scan's h.  Below r, H_h can
+    # be singular either way.  The syndromes are uniform, 1 to 3 nonzero,
+    # and geometric with one entry of H_tau perturbed; RS(255,180), with
+    # tau = 37 > _PANEL_TERMS // tau, has the scan replay its remainders
+    # onto a second panel.
+    rng = random.Random(37)
+    codes = [get_code(7, 2, alpha=5), get_code(11, 3), get_code(13, 5),
+             get_code(16, 6, reduction=0x19, alpha=6), get_code(8, 1),
+             get_code(32, 11, reduction=0x3D), get_code(256, 223), get_code(257, 200),
+             get_code(256, 180)]
+    seen = set()
+    for code in codes:
+        f, q, r, tau = code.field, code.field.q, code.n - code.k, code.tau
+        synds = [np.array([rng.randrange(q) for _ in range(r)], dtype=np.int64)
+                 for _ in range(4)]
+        for w in (1, 2, 3, 1, 2, 3):
+            synd = np.zeros(r, dtype=np.int64)
+            support = rng.sample(range(2 * tau - 1), min(w, 2 * tau - 1))
+            synd[support] = [rng.randrange(1, q) for _ in support]
+            synds.append(synd)
+        for j in [2 * tau - 2] * 2 + rng.sample(range(2 * tau - 1), min(4, 2 * tau - 1)):
+            a, d = rng.randrange(1, q), rng.randrange(1, q)
+            synd = np.array([f.pow(a, i) for i in range(r)], dtype=np.int64)
+            synd[j] = f.add(synd[j], d)
+            synds.append(synd)
+        for synd in synds:
+            first = _hankel_scan(f, synd, tau, tau)
+            for h in range(1, tau + 1):
+                nonsingular = FeMat._wrap(f, synd[np.add.outer(np.arange(h), np.arange(h))]).det()
+                assert bool(nonsingular) == (h == first) or h < first, (code, synd.tolist(), h)
+                if h < first:
+                    seen.add(bool(nonsingular))
+            seen.add(("first", min(first, 2)))
+    assert seen == {True, False, ("first", 0), ("first", 1), ("first", 2)}
+
+
 def test_scan_past_a_singular_leading_block_forms_no_determinant(monkeypatch):
     # Two GF(13) k = 5 words past the radius (tau = 3) with rank(H_3) = 2
-    # and H_2 singular: the scan decides h = 1 by whether the elimination
-    # of H_1 finds a pivot, and calls no `det`.
+    # and H_2 singular: the one elimination of H_3's columns stops at
+    # column 1, the first in the span of the earlier ones, which decides
+    # h = 3 and 2 (singular) and h = 1 (nonsingular).  Each decode runs
+    # `_hankel_scan` once and calls no `FeMat` method.
+    from rscodec import decode_interp
+
     code = get_code(13, 5)
     cases = [((12, 1, 8, 2, 0, 8, 3, 3, 7, 4, 3, 7), SingularLocatorSystem,
               "locator constant term is zero, implying an error at the excluded point 0"),
@@ -279,23 +330,33 @@ def test_scan_past_a_singular_leading_block_forms_no_determinant(monkeypatch):
     for word, _, _ in cases:
         assert _singular_leading_block(code, np.array(code.syndromes(word)))
 
-    def forbidden(self):
-        raise AssertionError("no decode calls FeMat.det")
+    def forbidden(self, *args):
+        raise AssertionError("no decode calls a FeMat method")
 
-    monkeypatch.setattr(FeMat, "det", forbidden)
+    for name in ("det", "rank", "solve"):
+        monkeypatch.setattr(FeMat, name, forbidden)
+    scans = []
+    monkeypatch.setattr(decode_interp, "_hankel_scan",
+                        lambda *args: scans.append(args) or _hankel_scan(*args))
     for word, failure, text in cases:
+        scans.clear()
         with pytest.raises(failure) as info:
             pgz_decode(code, word)
         assert str(info.value) == text
         assert info.value.trace.det_checks == 3
+        assert len(scans) == 1 and scans[0][2:] == (3, 3)
+        assert _hankel_scan(*scans[0]) == 1
 
 
 def test_determinant_scan_cost():
-    # One elimination of H_tau decides every h above its rank t, and its
-    # pivots decide h = t: on the t = 50 word of RS(255,4), 538 691
-    # products, 4 975 of them in the locator's shift-register synthesis (a
-    # second elimination took 43 760); a determinant for each
-    # h = 125, ..., 50 takes 17 653 911.  All the counts are deterministic.
+    # One elimination of H_tau's columns stops at column t, the first in
+    # the span of the earlier ones, which decides every h above t, and the
+    # pivot rows of columns 0, ..., t - 1 decide h = t: on the t = 50 word
+    # of RS(255,4), 271 670 products, 239 979 of them in that elimination
+    # and 4 975 in the locator's shift-register synthesis (a row echelon
+    # elimination of the whole of H_tau made it 538 691); a determinant for
+    # each h = 125, ..., 50 takes 17 653 911.  All the counts are
+    # deterministic.
     rng = random.Random(256)
     code = get_code(256, 4)
     cw = code.encode([rng.randrange(256) for _ in range(4)])

@@ -14,7 +14,7 @@ path and line, and a docstring never is.
 `scripts/bench_pairs.py`: a run counts only if its last line reports every
 check correct; each metric's summary gives both medians and quartiles, the
 pairs won in the metric's direction, and whether the median gap exceeds
-REF's IQR.
+REF's IQR; its --out file holds the pairs, that summary and the machine.
 """
 
 import json
@@ -24,7 +24,9 @@ import sys
 import textwrap
 from pathlib import Path
 
-from scripts.bench_pairs import end_to_end_metrics, result_values, summarize
+import numpy as np
+
+from scripts.bench_pairs import end_to_end_metrics, report, result_values, summarize
 from scripts.code_lines import code_lines
 from scripts.differential import _compare
 
@@ -147,3 +149,35 @@ def test_bench_pairs_summary_of_canned_runs():
                         "new 0.39 [0.375, 0.425]  -13.3%  wins 4/5  gap > ref IQR: yes")
     assert lines[1] == ("decode_kib_s (higher is better): ref 50 [48.5, 51.5]  "
                         "new 50 [48.25, 51]  +0.0%  wins 1/5  gap > ref IQR: no")
+
+
+def test_bench_pairs_report_of_canned_runs():
+    # The --out file holds the commits, the workload, seeds and seconds,
+    # every pair with the tree that ran first, the summary the printed
+    # lines are made from, and the machine; it is strict JSON.
+    metrics = [("decode_block_p50_ms", "lower"), ("decode_kib_s", "higher")]
+    runs = [{"seed": 41 + i, "first": ("ref", "new")[i % 2],
+             "ref": result_values(_result_line(True, 0.44 + i / 100, 50.0)),
+             "new": result_values(_result_line(True, 0.40 - i / 100, 50.0 + i))}
+            for i in range(3)]
+    ref, head = {"name": "HEAD^1", "commit": "a" * 40}, {"commit": "b" * 40,
+                                                        "src_uncommitted": False}
+    out = json.loads(json.dumps(report(ref, head, "noisy-bytes", 45.0, runs, metrics),
+                                allow_nan=False))
+    assert list(out) == ["ref", "head", "workload", "seeds", "seconds", "pairs", "summary",
+                         "machine"]
+    assert (out["ref"], out["head"], out["workload"], out["seeds"], out["seconds"]) == (
+        ref, head, "noisy-bytes", [41, 42, 43], 45.0)
+    assert out["pairs"] == runs and [run["first"] for run in runs] == ["ref", "new", "ref"]
+    assert list(out["summary"]) == [name for name, _ in metrics]
+    p50 = out["summary"]["decode_block_p50_ms"]
+    assert list(p50) == ["better", "ref", "new", "change_pct", "wins", "pairs",
+                         "gap_beyond_ref_iqr"]
+    assert p50["ref"] == {"median": 0.45, "q1": 0.44, "q3": 0.46}
+    assert (p50["better"], p50["wins"], p50["pairs"], p50["gap_beyond_ref_iqr"]) == (
+        "lower", 3, 3, True)
+    assert out["summary"]["decode_kib_s"]["change_pct"] == 2.0
+    assert list(out["machine"]) == ["nproc", "python", "numpy"]
+    assert out["machine"]["nproc"] >= 1 and out["machine"]["numpy"] == np.__version__
+    lines = summarize([(run["ref"], run["new"]) for run in runs], metrics)
+    assert lines[0].startswith("decode_block_p50_ms (lower is better): ref 0.45 [0.44, 0.46]")
